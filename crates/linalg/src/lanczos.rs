@@ -5,18 +5,25 @@
 //! converges to λ₂ and the bottom one to λₙ, giving
 //! `µ = max(λ₂, −λₙ)`.
 //!
-//! Full reorthogonalization (two Gram–Schmidt passes against the
-//! whole basis per step) trades memory — `O(n·k)` for `k` basis
-//! vectors — for unconditional numerical robustness; without it,
-//! Lanczos famously produces ghost copies of converged eigenvalues.
-//! At the basis sizes extremal problems need (k ≤ a few hundred) this
-//! is the right trade. For graphs too large for the basis to fit in
-//! memory, use [`crate::power::power_iteration`], which needs O(n).
+//! Full reorthogonalization (each new vector orthogonalized against
+//! the whole basis every step) trades memory — `O(n·k)` for `k` basis
+//! vectors — for numerical robustness; without it, Lanczos famously
+//! produces ghost copies of converged eigenvalues. At the basis sizes
+//! extremal problems need (k ≤ a few hundred) this is the right trade.
+//! For graphs too large for the basis to fit in memory, use
+//! [`crate::power::power_iteration`], which needs O(n).
+//!
+//! Reading the basis dominates a solve, so the f64 drivers read it
+//! once per step: one modified Gram–Schmidt sweep, repeated only when
+//! the DGKS test says the first lost orthogonality (see
+//! [`reorthogonalize`]). Their convergence checks need only the last
+//! row of the tridiagonal eigenvector matrix, which
+//! [`tridiag_eigen_last_row`] computes in O(k²) instead of O(k³).
 
 use crate::op::{LinearOp, LinearOpF32};
-use crate::tridiag::tridiag_eigen;
+use crate::tridiag::{tridiag_eigen, tridiag_eigen_last_row};
 use crate::vecops::{
-    axpy, dot, dot32, norm2, norm2_32, normalize, normalize32, project_out, project_out32, scale,
+    axpy, dot, dot32, dot_unrolled, norm2, norm2_32, normalize, normalize32, project_out32, scale,
 };
 use rand::Rng;
 use socmix_obs::{obs_debug, Counter, Histogram, Span};
@@ -28,6 +35,13 @@ static MIXED_RUNS: Counter = Counter::new("linalg.lanczos.mixed_runs");
 /// Wall time per Lanczos run (extreme/topk, scalar and mixed); on a
 /// trace timeline one span per SLEM solve.
 static RUN_NS: Histogram = Histogram::new("linalg.lanczos.run_ns");
+/// Steps whose reorthogonalization needed a second sweep.
+static REORTH_REPEATS: Counter = Counter::new("linalg.lanczos.reorth_repeats");
+
+/// DGKS threshold: a Gram–Schmidt sweep that keeps no more than this
+/// fraction of ‖w‖ has cancelled enough that rounding may have left
+/// components along the basis, so the sweep is repeated.
+const DGKS_ETA: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
 /// β below this level in the f32 recurrence means the Krylov space is
 /// exhausted *at f32 resolution* — continuing would only orthogonalize
@@ -104,6 +118,7 @@ pub fn lanczos_extreme<Op: LinearOp, R: Rng + ?Sized>(
     RUNS.incr();
     let _span = Span::start(&RUN_NS);
     let max_iter = opts.max_iter.min(n).max(1);
+    let check_every = opts.check_every.max(1);
 
     // random start, normalized
     let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
@@ -138,12 +153,12 @@ pub fn lanczos_extreme<Op: LinearOp, R: Rng + ?Sized>(
                 return None;
             }
             let k = alphas.len();
-            let (vals, vecs) = tridiag_eigen(alphas, &betas[..k - 1]);
+            let (vals, last) = tridiag_eigen_last_row(alphas, &betas[..k - 1]);
             let beta_last = betas.get(k - 1).copied().unwrap_or(0.0);
             // residual bound for Ritz pair i: |β_k| · |s_{k,i}| where s is
             // the bottom component of T's eigenvector
-            let res_top = beta_last.abs() * vecs[0][k - 1].abs();
-            let res_bot = beta_last.abs() * vecs[k - 1][k - 1].abs();
+            let res_top = beta_last.abs() * last[0].abs();
+            let res_bot = beta_last.abs() * last[k - 1].abs();
             // residual trajectory: one event per convergence check
             obs_debug!(
                 "linalg.lanczos",
@@ -179,12 +194,7 @@ pub fn lanczos_extreme<Op: LinearOp, R: Rng + ?Sized>(
             let beta_prev = betas[j - 1];
             axpy(-beta_prev, &basis[j - 1], &mut w);
         }
-        // full reorthogonalization, two passes
-        for _ in 0..2 {
-            for b in &basis {
-                project_out(&mut w, b);
-            }
-        }
+        reorthogonalize(&mut w, &basis);
         alphas.push(alpha);
         let beta = norm2(&w);
         if beta < 1e-14 {
@@ -199,7 +209,7 @@ pub fn lanczos_extreme<Op: LinearOp, R: Rng + ?Sized>(
         normalize(&mut w);
         basis.push(w);
 
-        if (j + 1) % opts.check_every == 0 {
+        if (j + 1) % check_every == 0 {
             if let Some(r) = result(&alphas, &betas, j + 1, false) {
                 return r;
             }
@@ -245,6 +255,7 @@ where
     MIXED_RUNS.incr();
     let _span = Span::start(&RUN_NS);
     let max_iter = opts.max_iter.min(n).max(1);
+    let check_every = opts.check_every.max(1);
 
     // random start, folded into the operator's range (projects out the
     // deflated directions when Op is deflated), in f32
@@ -281,7 +292,9 @@ where
         if j > 0 {
             crate::vecops::axpy32(-(betas[j - 1] as f32), &basis[j - 1], &mut w);
         }
-        // full reorthogonalization, two passes (coefficients in f64)
+        // full reorthogonalization, two passes (coefficients in f64);
+        // unlike the f64 drivers' `reorthogonalize`, both always run:
+        // the 1e-6 cross-precision contract was measured with them
         for _ in 0..2 {
             for b in &basis {
                 project_out32(&mut w, b);
@@ -301,11 +314,11 @@ where
         normalize32(&mut w);
         basis.push(w);
 
-        if (j + 1) % opts.check_every == 0 {
+        if (j + 1) % check_every == 0 {
             let k = alphas.len();
-            let (vals, vecs) = tridiag_eigen(&alphas, &betas[..k - 1]);
-            let res_top = betas[k - 1].abs() * vecs[0][k - 1].abs();
-            let res_bot = betas[k - 1].abs() * vecs[k - 1][k - 1].abs();
+            let (vals, last) = tridiag_eigen_last_row(&alphas, &betas[..k - 1]);
+            let res_top = betas[k - 1].abs() * last[0].abs();
+            let res_bot = betas[k - 1].abs() * last[k - 1].abs();
             obs_debug!(
                 "linalg.lanczos",
                 "mixed step {k}: ritz [{:.8}, {:.8}] residuals [{res_top:.3e}, {res_bot:.3e}]",
@@ -402,6 +415,7 @@ pub fn lanczos_topk<Op: LinearOp, R: Rng + ?Sized>(
     RUNS.incr();
     let _span = Span::start(&RUN_NS);
     let max_iter = opts.max_iter.min(n).max(k);
+    let check_every = opts.check_every.max(1);
 
     let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
     {
@@ -432,11 +446,7 @@ pub fn lanczos_topk<Op: LinearOp, R: Rng + ?Sized>(
         if j > 0 {
             axpy(-betas[j - 1], &basis[j - 1], &mut w);
         }
-        for _ in 0..2 {
-            for b in &basis {
-                project_out(&mut w, b);
-            }
-        }
+        reorthogonalize(&mut w, &basis);
         alphas.push(alpha);
         let beta = norm2(&w);
         if beta < 1e-14 {
@@ -452,10 +462,10 @@ pub fn lanczos_topk<Op: LinearOp, R: Rng + ?Sized>(
         basis.push(w);
 
         // convergence check on the k-th pair
-        if (j + 1) % opts.check_every == 0 && j + 1 >= k {
+        if (j + 1) % check_every == 0 && j + 1 >= k {
             let m = alphas.len();
-            let (_, vecs) = tridiag_eigen(&alphas, &betas[..m - 1]);
-            let res_k = betas[m - 1].abs() * vecs[k.min(m) - 1][m - 1].abs();
+            let (_, last) = tridiag_eigen_last_row(&alphas, &betas[..m - 1]);
+            let res_k = betas[m - 1].abs() * last[k.min(m) - 1].abs();
             obs_debug!("linalg.lanczos", "topk step {m}: residual {res_k:.3e}");
             if res_k < opts.tol {
                 break;
@@ -485,6 +495,34 @@ pub fn lanczos_topk<Op: LinearOp, R: Rng + ?Sized>(
         residuals,
         iterations: m,
     }
+}
+
+/// Orthogonalizes `w` against the orthonormal `basis` by modified
+/// Gram–Schmidt, and returns how many sweeps that took.
+///
+/// One sweep suffices when it keeps more than [`DGKS_ETA`] of ‖w‖.
+/// Otherwise `w` was mostly inside the span of the basis, rounding in
+/// the subtraction may have left components along it, and a second
+/// sweep removes them (the Daniel–Gragg–Kaufman–Stewart test ARPACK
+/// uses, which also repeats the sweep for a `w` that was already zero;
+/// two sweeps are enough, Giraud–Langou–Rozložník 2005). The
+/// coefficients use [`dot_unrolled`], whose order is fixed by `n`, so
+/// the result does not depend on the pool or kernel the operator ran
+/// on.
+fn reorthogonalize(w: &mut [f64], basis: &[Vec<f64>]) -> usize {
+    let sweep = |w: &mut [f64]| {
+        for b in basis {
+            axpy(-dot_unrolled(b, w), b, w);
+        }
+    };
+    let before = norm2(w);
+    sweep(w);
+    if norm2(w) > DGKS_ETA * before {
+        return 1;
+    }
+    REORTH_REPEATS.incr();
+    sweep(w);
+    2
 }
 
 #[cfg(test)]
@@ -599,7 +637,11 @@ mod tests {
 
     #[test]
     fn bipartite_bottom_is_minus_one() {
-        // K_{3,3}: spectrum {1, 0, …, -1}
+        // K_{3,3}: spectrum {1, 0, …, -1}. The folded start vector lies
+        // in the span of the ±1 eigenvectors, so the Krylov space runs
+        // out at step 2, where the recurrence leaves only rounding noise
+        // for the first sweep to cancel: the second sweep fires there,
+        // and the answer must hold.
         let g = {
             let mut b = GraphBuilder::new();
             for u in 0..3u32 {
@@ -611,8 +653,13 @@ mod tests {
         };
         let op = SymmetricWalkOp::new(&g);
         let mut rng = StdRng::seed_from_u64(4);
+        socmix_obs::set_metrics_enabled(true);
+        let repeats = REORTH_REPEATS.get();
         let r = lanczos_extreme(&op, LanczosOptions::default(), &mut rng);
+        assert!(REORTH_REPEATS.get() > repeats, "no second sweep");
+        assert_eq!(r.iterations, 2);
         assert_close(r.bottom, -1.0, 1e-9);
+        assert_close(r.top, 1.0, 1e-9);
     }
 
     #[test]
@@ -783,6 +830,123 @@ mod tests {
         let r = lanczos_extreme_mixed(&op, &op32, LanczosOptions::default(), &mut rng);
         assert_close(r.bottom, -1.0, 1e-6);
         assert_close(r.top, 1.0, 1e-6);
+    }
+
+    /// `k` orthonormal vectors of length `n` (Gram–Schmidt over seeded
+    /// random vectors, each swept twice).
+    fn orthonormal_basis(n: usize, k: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut basis: Vec<Vec<f64>> = Vec::with_capacity(k);
+        while basis.len() < k {
+            let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
+            for _ in 0..2 {
+                for b in &basis {
+                    crate::vecops::project_out(&mut v, b);
+                }
+            }
+            normalize(&mut v);
+            basis.push(v);
+        }
+        basis
+    }
+
+    /// `max_i |b_i · w| / ‖w‖`.
+    fn max_overlap(w: &[f64], basis: &[Vec<f64>]) -> f64 {
+        let wn = norm2(w);
+        basis
+            .iter()
+            .map(|b| dot(b, w).abs() / wn)
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn reorthogonalize_repeats_when_w_is_mostly_in_the_basis() {
+        let (n, k) = (500, 40);
+        let basis = orthonormal_basis(n, k + 1, 41);
+        let (outside, basis) = basis.split_last().expect("k + 1 vectors");
+        // w = Σ b_i + 1e-6 · u with u ⟂ basis: the first sweep cancels
+        // all but a millionth of it, and its rounding stays behind
+        let mut w: Vec<f64> = outside.iter().map(|x| 1e-6 * x).collect();
+        for (i, b) in basis.iter().enumerate() {
+            axpy(1.0 + i as f64 / k as f64, b, &mut w);
+        }
+        assert_eq!(reorthogonalize(&mut w, basis), 2);
+        let overlap = max_overlap(&w, basis);
+        assert!(overlap <= 1e-14, "overlap {overlap:e}");
+    }
+
+    #[test]
+    fn reorthogonalize_sweeps_once_when_w_is_nearly_orthogonal() {
+        let (n, k) = (500, 40);
+        let basis = orthonormal_basis(n, k + 1, 42);
+        let (outside, basis) = basis.split_last().expect("k + 1 vectors");
+        let mut w = outside.clone();
+        for b in basis {
+            axpy(1e-3, b, &mut w);
+        }
+        assert_eq!(reorthogonalize(&mut w, basis), 1);
+        let overlap = max_overlap(&w, basis);
+        assert!(overlap <= 1e-14, "overlap {overlap:e}");
+    }
+
+    /// `check_every: 0` would divide by zero in the check schedule; it
+    /// means a check every step, like `check_every: 1`.
+    fn every_step() -> LanczosOptions {
+        LanczosOptions {
+            check_every: 0,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn extreme_accepts_check_every_zero() {
+        let g = tests_support::big_cycle(9);
+        let sop = SymmetricWalkOp::new(&g);
+        let basis = vec![sop.top_eigenvector()];
+        let defl = DeflatedOp::new(sop, &basis);
+        let zero = lanczos_extreme(&defl, every_step(), &mut StdRng::seed_from_u64(3));
+        let one = lanczos_extreme(
+            &defl,
+            LanczosOptions {
+                check_every: 1,
+                ..Default::default()
+            },
+            &mut StdRng::seed_from_u64(3),
+        );
+        assert_eq!(zero.top.to_bits(), one.top.to_bits());
+        assert_eq!(zero.iterations, one.iterations);
+        assert_close(
+            zero.top.max(-zero.bottom),
+            (std::f64::consts::PI / 9.0).cos(),
+            1e-8,
+        );
+    }
+
+    #[test]
+    fn mixed_accepts_check_every_zero() {
+        let g = tests_support::big_cycle(9);
+        let sop = SymmetricWalkOp::new(&g);
+        let basis = vec![sop.top_eigenvector()];
+        let defl = DeflatedOp::new(sop, &basis);
+        let sop32 = f32_sym_op(&g);
+        let basis32 = vec![sop32.top_eigenvector32()];
+        let defl32 = crate::op::DeflatedOpF32::new(sop32, &basis32);
+        let mut rng = StdRng::seed_from_u64(30);
+        let r = lanczos_extreme_mixed(&defl, &defl32, every_step(), &mut rng);
+        assert_close(
+            r.top.max(-r.bottom),
+            (std::f64::consts::PI / 9.0).cos(),
+            1e-7,
+        );
+    }
+
+    #[test]
+    fn topk_accepts_check_every_zero() {
+        let g = tests_support::big_cycle(31);
+        let op = SymmetricWalkOp::new(&g);
+        let r = lanczos_topk(&op, 2, every_step(), &mut StdRng::seed_from_u64(23));
+        assert_close(r.values[0], 1.0, 1e-8);
+        assert_close(r.values[1], (2.0 * std::f64::consts::PI / 31.0).cos(), 1e-7);
     }
 
     #[test]

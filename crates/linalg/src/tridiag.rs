@@ -1,15 +1,21 @@
 //! Symmetric tridiagonal eigensolver (QL with implicit shifts).
 //!
 //! This is the inner solver Lanczos uses on its projected matrix
-//! `T_k`. Classic EISPACK `tql2` algorithm; O(k²) per eigenvalue with
-//! eigenvector accumulation, O(k³) total — trivial at Lanczos basis
-//! sizes (k ≤ a few hundred).
+//! `T_k`. Classic EISPACK `tql2` algorithm. The eigenvalues alone take
+//! O(k²): a few O(k) rotation sweeps per eigenvalue. Applying every
+//! rotation to every row of the eigenvector matrix makes the full
+//! decomposition O(k³), which is not trivial at Lanczos basis sizes:
+//! at k ≈ 170, running it every tenth step cost 40–51 ms of a ~600 ms
+//! SLEM solve on a 2-vCPU host (EXPERIMENTS.md). A convergence check
+//! needs only the last row of the eigenvector matrix (the Ritz
+//! residual is `|β_k · s_{k,i}|`), so [`tridiag_eigen_last_row`]
+//! applies the rotations to that one row and stays O(k²).
 
 /// Eigenvalues of the symmetric tridiagonal matrix with diagonal
 /// `diag` and subdiagonal `offdiag` (`offdiag.len() == diag.len()-1`),
 /// sorted **descending**.
 pub fn tridiag_eigenvalues(diag: &[f64], offdiag: &[f64]) -> Vec<f64> {
-    let (vals, _) = ql_implicit(diag, offdiag, false);
+    let (vals, _) = ql_implicit(diag, offdiag, Rows::None);
     vals
 }
 
@@ -18,17 +24,36 @@ pub fn tridiag_eigenvalues(diag: &[f64], offdiag: &[f64]) -> Vec<f64> {
 /// Returns `(values, vectors)` with values sorted **descending** and
 /// `vectors[k]` the unit eigenvector (length `n`) for `values[k]`.
 pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
-    let (vals, vecs) = ql_implicit(diag, offdiag, true);
-    (vals, vecs.expect("vectors requested"))
+    let (vals, z) = ql_implicit(diag, offdiag, Rows::All);
+    let vecs = z.chunks_exact(vals.len()).map(<[f64]>::to_vec).collect();
+    (vals, vecs)
 }
 
-/// QL with implicit shifts. `want_vectors` accumulates the rotations
-/// into an eigenvector matrix.
-fn ql_implicit(
-    diag: &[f64],
-    offdiag: &[f64],
-    want_vectors: bool,
-) -> (Vec<f64>, Option<Vec<Vec<f64>>>) {
+/// Eigenvalues and the last row of the eigenvector matrix of a
+/// symmetric tridiagonal matrix, in O(n²).
+///
+/// Returns `(values, last)` with values sorted **descending** and
+/// `last[k]` the last entry of the unit eigenvector for `values[k]`.
+/// Both are bit-identical to what [`tridiag_eigen`] returns: the QL
+/// rotations act on each row of the eigenvector matrix independently,
+/// so this applies the same operations to the one row it keeps.
+pub fn tridiag_eigen_last_row(diag: &[f64], offdiag: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    ql_implicit(diag, offdiag, Rows::Last)
+}
+
+/// Which rows of the eigenvector matrix [`ql_implicit`] accumulates.
+#[derive(Clone, Copy)]
+enum Rows {
+    None,
+    Last,
+    All,
+}
+
+/// QL with implicit shifts, accumulating the rotations into the rows
+/// of the eigenvector matrix that `rows` selects. Returns the sorted
+/// values and the kept rows' entries column by column (eigenvector
+/// `j`'s entries are `z[j * kept .. (j + 1) * kept]`).
+fn ql_implicit(diag: &[f64], offdiag: &[f64], rows: Rows) -> (Vec<f64>, Vec<f64>) {
     let n = diag.len();
     assert!(n > 0, "empty matrix");
     assert_eq!(offdiag.len(), n - 1, "offdiag must have n-1 entries");
@@ -36,16 +61,18 @@ fn ql_implicit(
     // e: subdiagonal padded with trailing 0 (e[i] couples i and i+1)
     let mut e = offdiag.to_vec();
     e.push(0.0);
-    // z[k*n + j]: row k, column j; columns are eigenvectors
-    let mut z = if want_vectors {
-        let mut z = vec![0.0f64; n * n];
-        for i in 0..n {
-            z[i * n + i] = 1.0;
-        }
-        Some(z)
-    } else {
-        None
+    // z[r*n + j]: kept row r, column j (columns are eigenvectors),
+    // starting as the matching rows of the identity
+    let kept = match rows {
+        Rows::None => 0,
+        Rows::Last => 1,
+        Rows::All => n,
     };
+    let first_row = n - kept;
+    let mut z = vec![0.0f64; kept * n];
+    for r in 0..kept {
+        z[r * n + first_row + r] = 1.0;
+    }
 
     for l in 0..n {
         let mut iter = 0;
@@ -90,12 +117,10 @@ fn ql_implicit(
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                if let Some(z) = z.as_deref_mut() {
-                    for k in 0..n {
-                        f = z[k * n + i + 1];
-                        z[k * n + i + 1] = s * z[k * n + i] + c * f;
-                        z[k * n + i] = c * z[k * n + i] - s * f;
-                    }
+                for row in z.chunks_exact_mut(n) {
+                    f = row[i + 1];
+                    row[i + 1] = s * row[i] + c * f;
+                    row[i] = c * row[i] - s * f;
                 }
             }
             if underflow {
@@ -111,13 +136,12 @@ fn ql_implicit(
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| d[b].total_cmp(&d[a]));
     let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let vectors = z.map(|z| {
-        order
-            .iter()
-            .map(|&col| (0..n).map(|row| z[row * n + col]).collect())
-            .collect()
-    });
-    (values, vectors)
+    let z = &z;
+    let columns = order
+        .iter()
+        .flat_map(|&col| (0..kept).map(move |r| z[r * n + col]))
+        .collect();
+    (values, columns)
 }
 
 #[cfg(test)]

@@ -11,6 +11,29 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// Dot product over eight independent accumulators, the f64
+/// counterpart of [`dot32`]: Lanczos reorthogonalization runs one per
+/// basis vector per step, and a single accumulator chains every
+/// element through one FP add. The order of the sums is fixed by the
+/// slice length alone.
+#[inline]
+pub(crate) fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    let mut acc = [0.0f64; 8];
+    let mut ca = a.chunks_exact(8);
+    let mut cb = b.chunks_exact(8);
+    for (xs, ys) in ca.by_ref().zip(cb.by_ref()) {
+        for (a, (x, y)) in acc.iter_mut().zip(xs.iter().zip(ys)) {
+            *a += x * y;
+        }
+    }
+    let mut tail = 0.0f64;
+    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
+        tail += x * y;
+    }
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
+}
+
 /// Euclidean norm.
 #[inline]
 pub fn norm2(a: &[f64]) -> f64 {
@@ -68,10 +91,11 @@ pub fn norm_inf(a: &[f64]) -> f64 {
 ///
 /// Eight independent accumulators: a single f64 accumulator chains
 /// every element through one ~4-cycle FP add, which made this pass
-/// cost more than the matvec it was checking. The accumulation order
-/// is fixed by the slice length alone, so results stay reproducible —
-/// the f32 tolerance contract permits this reassociation (the f64
-/// [`dot`] above must not and does not reassociate).
+/// cost more than the matvec it was checking. What the determinism
+/// contracts need of a reduction is an order fixed by the slice length
+/// alone, so that it is the same across pool widths, kernels and shard
+/// counts; this one, [`dot`]'s left-to-right chain and
+/// [`dot_unrolled`]'s eight lanes all meet that.
 #[inline]
 pub fn dot32(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len());

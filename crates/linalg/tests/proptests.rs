@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use socmix_graph::{GraphBuilder, NodeId};
 use socmix_linalg::dense::{jacobi_eigen, slem_dense, DenseMatrix};
-use socmix_linalg::tridiag::{tridiag_eigen, tridiag_eigenvalues};
+use socmix_linalg::tridiag::{tridiag_eigen, tridiag_eigen_last_row, tridiag_eigenvalues};
 use socmix_linalg::{lanczos_extreme, DeflatedOp, LanczosOptions, LinearOp, SymmetricWalkOp};
 
 fn symmetric_matrix(max_n: usize) -> impl Strategy<Value = DenseMatrix> {
@@ -26,8 +26,49 @@ fn symmetric_matrix(max_n: usize) -> impl Strategy<Value = DenseMatrix> {
     })
 }
 
+/// Random symmetric tridiagonals `(diag, offdiag)` of size 1–300, a
+/// quarter of them at most 8. In half of them about a quarter of the
+/// off-diagonals are exactly zero, so the matrix splits into blocks;
+/// the other half are unreduced. Most diagonal entries come from three
+/// fixed values, so runs of repeated entries (and eigenvalues repeated
+/// across blocks) are common.
+fn tridiagonal() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    (0u32..4, 1usize..=300, 0u32..2).prop_flat_map(|(small, n, split)| {
+        let n = if small == 0 { n % 8 + 1 } else { n };
+        let entry = || (0u32..4, -2.0f64..2.0);
+        (
+            proptest::collection::vec(entry(), n),
+            proptest::collection::vec(entry(), n - 1),
+        )
+            .prop_map(move |(d, e)| {
+                let diag = d
+                    .into_iter()
+                    .map(|(pick, x)| if pick == 0 { x } else { f64::from(pick) * 0.5 })
+                    .collect();
+                let offdiag = e
+                    .into_iter()
+                    .map(|(pick, x)| if pick == 0 && split == 1 { 0.0 } else { x })
+                    .collect();
+                (diag, offdiag)
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn tridiag_last_row_is_bit_identical_to_full((d, e) in tridiagonal()) {
+        let (vals, vecs) = tridiag_eigen(&d, &e);
+        let (last_vals, last) = tridiag_eigen_last_row(&d, &e);
+        let n = d.len();
+        prop_assert_eq!(last_vals.len(), n);
+        prop_assert_eq!(last.len(), n);
+        for k in 0..n {
+            prop_assert_eq!(last_vals[k].to_bits(), vals[k].to_bits());
+            prop_assert_eq!(last[k].to_bits(), vecs[k][n - 1].to_bits());
+        }
+    }
 
     #[test]
     fn jacobi_reconstructs_matrix(m in symmetric_matrix(8)) {
