@@ -13,17 +13,20 @@
 //! For graphs too large for the basis to fit in memory, use
 //! [`crate::power::power_iteration`], which needs O(n).
 //!
-//! Reading the basis dominates a solve, so the f64 drivers read it
-//! once per step: one modified Gram–Schmidt sweep, repeated only when
-//! the DGKS test says the first lost orthogonality (see
-//! [`reorthogonalize`]). Their convergence checks need only the last
-//! row of the tridiagonal eigenvector matrix, which
+//! Reorthogonalization dominates a solve, so the f64 drivers read the
+//! basis once per step: one Gram–Schmidt sweep, repeated only when the
+//! DGKS test says the first lost orthogonality (see
+//! [`reorthogonalize`]). The sweep is [`block_sweep`], which takes
+//! eight coefficients per pass over `w` and runs 256-bit AVX code where
+//! the CPU has it, with the same bits as its portable path; its last
+//! ‖w‖ is the step's β. The convergence checks need only the last row
+//! of the tridiagonal eigenvector matrix, which
 //! [`tridiag_eigen_last_row`] computes in O(k²) instead of O(k³).
 
 use crate::op::{LinearOp, LinearOpF32};
 use crate::tridiag::{tridiag_eigen, tridiag_eigen_last_row};
 use crate::vecops::{
-    axpy, dot, dot32, dot_unrolled, norm2, norm2_32, normalize, normalize32, project_out32, scale,
+    axpy, block_sweep, dot, dot32, norm2, norm2_32, normalize, normalize32, project_out32, scale,
 };
 use rand::Rng;
 use socmix_obs::{obs_debug, Counter, Histogram, Span};
@@ -113,6 +116,17 @@ pub fn lanczos_extreme<Op: LinearOp, R: Rng + ?Sized>(
     opts: LanczosOptions,
     rng: &mut R,
 ) -> LanczosResult {
+    extreme_with(op, opts, rng, block_sweep)
+}
+
+/// [`lanczos_extreme`] with the Gram–Schmidt sweep given, so tests can
+/// run the driver on each path of [`block_sweep`].
+fn extreme_with<Op: LinearOp, R: Rng + ?Sized>(
+    op: &Op,
+    opts: LanczosOptions,
+    rng: &mut R,
+    sweep: Sweep,
+) -> LanczosResult {
     let n = op.dim();
     assert!(n > 0, "operator must be non-empty");
     RUNS.incr();
@@ -194,9 +208,8 @@ pub fn lanczos_extreme<Op: LinearOp, R: Rng + ?Sized>(
             let beta_prev = betas[j - 1];
             axpy(-beta_prev, &basis[j - 1], &mut w);
         }
-        reorthogonalize(&mut w, &basis);
+        let (_, beta) = reorthogonalize(&mut w, &basis, sweep);
         alphas.push(alpha);
-        let beta = norm2(&w);
         if beta < 1e-14 {
             // invariant subspace found: the tridiagonal matrix is exact
             betas.push(0.0);
@@ -206,7 +219,7 @@ pub fn lanczos_extreme<Op: LinearOp, R: Rng + ?Sized>(
         if basis.len() == max_iter {
             break;
         }
-        normalize(&mut w);
+        scale(&mut w, 1.0 / beta);
         basis.push(w);
 
         if (j + 1) % check_every == 0 {
@@ -446,9 +459,8 @@ pub fn lanczos_topk<Op: LinearOp, R: Rng + ?Sized>(
         if j > 0 {
             axpy(-betas[j - 1], &basis[j - 1], &mut w);
         }
-        reorthogonalize(&mut w, &basis);
+        let (_, beta) = reorthogonalize(&mut w, &basis, block_sweep);
         alphas.push(alpha);
-        let beta = norm2(&w);
         if beta < 1e-14 {
             betas.push(0.0);
             exhausted = true;
@@ -458,7 +470,7 @@ pub fn lanczos_topk<Op: LinearOp, R: Rng + ?Sized>(
         if basis.len() == max_iter {
             break;
         }
-        normalize(&mut w);
+        scale(&mut w, 1.0 / beta);
         basis.push(w);
 
         // convergence check on the k-th pair
@@ -497,32 +509,33 @@ pub fn lanczos_topk<Op: LinearOp, R: Rng + ?Sized>(
     }
 }
 
-/// Orthogonalizes `w` against the orthonormal `basis` by modified
-/// Gram–Schmidt, and returns how many sweeps that took.
+/// A Gram–Schmidt sweep of `w` against a basis: [`block_sweep`], or
+/// one of its two paths in tests.
+type Sweep = fn(&mut [f64], &[Vec<f64>]);
+
+/// Orthogonalizes `w` against the orthonormal `basis` with `sweep`,
+/// and returns how many sweeps that took and ‖w‖ after the last.
 ///
 /// One sweep suffices when it keeps more than [`DGKS_ETA`] of ‖w‖.
 /// Otherwise `w` was mostly inside the span of the basis, rounding in
 /// the subtraction may have left components along it, and a second
 /// sweep removes them (the Daniel–Gragg–Kaufman–Stewart test ARPACK
 /// uses, which also repeats the sweep for a `w` that was already zero;
-/// two sweeps are enough, Giraud–Langou–Rozložník 2005). The
-/// coefficients use [`dot_unrolled`], whose order is fixed by `n`, so
+/// two sweeps are enough, Giraud–Langou–Rozložník 2005). The order of
+/// every sum in [`block_sweep`] is fixed by `n` and the basis size, so
 /// the result does not depend on the pool or kernel the operator ran
-/// on.
-fn reorthogonalize(w: &mut [f64], basis: &[Vec<f64>]) -> usize {
-    let sweep = |w: &mut [f64]| {
-        for b in basis {
-            axpy(-dot_unrolled(b, w), b, w);
-        }
-    };
+/// on. The returned norm is the [`norm2`] the drivers would otherwise
+/// recompute for β.
+fn reorthogonalize(w: &mut [f64], basis: &[Vec<f64>], sweep: Sweep) -> (usize, f64) {
     let before = norm2(w);
-    sweep(w);
-    if norm2(w) > DGKS_ETA * before {
-        return 1;
+    sweep(w, basis);
+    let after = norm2(w);
+    if after > DGKS_ETA * before {
+        return (1, after);
     }
     REORTH_REPEATS.incr();
-    sweep(w);
-    2
+    sweep(w, basis);
+    (2, norm2(w))
 }
 
 #[cfg(test)]
@@ -530,6 +543,7 @@ mod tests {
     use super::*;
     use crate::dense::{jacobi_eigen, slem_dense, DenseMatrix};
     use crate::op::{DeflatedOp, DenseOp, SymmetricWalkOp};
+    use crate::vecops::block_sweep_portable;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use socmix_graph::GraphBuilder;
@@ -866,11 +880,8 @@ mod tests {
         let (outside, basis) = basis.split_last().expect("k + 1 vectors");
         // w = Σ b_i + 1e-6 · u with u ⟂ basis: the first sweep cancels
         // all but a millionth of it, and its rounding stays behind
-        let mut w: Vec<f64> = outside.iter().map(|x| 1e-6 * x).collect();
-        for (i, b) in basis.iter().enumerate() {
-            axpy(1.0 + i as f64 / k as f64, b, &mut w);
-        }
-        assert_eq!(reorthogonalize(&mut w, basis), 2);
+        let mut w = dgks_input(outside, basis, true);
+        assert_eq!(reorthogonalize(&mut w, basis, block_sweep).0, 2);
         let overlap = max_overlap(&w, basis);
         assert!(overlap <= 1e-14, "overlap {overlap:e}");
     }
@@ -880,13 +891,145 @@ mod tests {
         let (n, k) = (500, 40);
         let basis = orthonormal_basis(n, k + 1, 42);
         let (outside, basis) = basis.split_last().expect("k + 1 vectors");
-        let mut w = outside.clone();
-        for b in basis {
-            axpy(1e-3, b, &mut w);
-        }
-        assert_eq!(reorthogonalize(&mut w, basis), 1);
+        let mut w = dgks_input(outside, basis, false);
+        assert_eq!(reorthogonalize(&mut w, basis, block_sweep).0, 1);
         let overlap = max_overlap(&w, basis);
         assert!(overlap <= 1e-14, "overlap {overlap:e}");
+    }
+
+    /// The AVX path of [`block_sweep`], or `None` on a CPU without AVX.
+    fn avx_sweep() -> Option<Sweep> {
+        #[cfg(target_arch = "x86_64")]
+        if crate::vecops::avx::available() {
+            return Some(|w, basis| {
+                // SAFETY: returned only after `available()` confirmed AVX.
+                unsafe { crate::vecops::avx::block_sweep(w, basis) }
+            });
+        }
+        None
+    }
+
+    fn skip_note(what: &str) {
+        eprintln!("note: no AVX on this CPU; {what} checks the portable path only");
+    }
+
+    /// `w` for one DGKS branch: mostly outside the basis (`repeat`
+    /// false, one sweep), or mostly inside it (two sweeps).
+    fn dgks_input(outside: &[f64], basis: &[Vec<f64>], repeat: bool) -> Vec<f64> {
+        let k = basis.len();
+        if repeat {
+            let mut w: Vec<f64> = outside.iter().map(|x| 1e-6 * x).collect();
+            if k == 0 {
+                // nothing to cancel: only a zero `w` repeats
+                w.fill(0.0);
+            }
+            for (i, b) in basis.iter().enumerate() {
+                axpy(1.0 + i as f64 / k as f64, b, &mut w);
+            }
+            w
+        } else {
+            let mut w = outside.to_vec();
+            for b in basis {
+                axpy(1e-3, b, &mut w);
+            }
+            w
+        }
+    }
+
+    #[test]
+    fn block_sweep_paths_agree_bit_for_bit() {
+        let avx = avx_sweep();
+        if avx.is_none() {
+            skip_note("block_sweep_paths_agree_bit_for_bit");
+        }
+        for n in [1, 7, 8, 9, 500, 11_204] {
+            for k in [0, 1, 7, 8, 9, 16, 17, 40] {
+                let seed = (n * 100 + k) as u64;
+                // an orthonormal basis plus a unit vector outside it
+                // where R^n has room; otherwise unit vectors that are
+                // not orthogonal, which still pin the arithmetic down
+                let orthonormal = k < n;
+                let vecs = if orthonormal {
+                    orthonormal_basis(n, k + 1, seed)
+                } else {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    (0..=k)
+                        .map(|_| {
+                            let mut v: Vec<f64> =
+                                (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
+                            normalize(&mut v);
+                            v
+                        })
+                        .collect()
+                };
+                let (outside, basis) = vecs.split_last().expect("k + 1 vectors");
+                for repeat in [false, true] {
+                    let case = format!("n {n} k {k} repeat {repeat}");
+                    let w0 = dgks_input(outside, basis, repeat);
+                    let mut w = w0.clone();
+                    let (sweeps, norm) = reorthogonalize(&mut w, basis, block_sweep_portable);
+                    assert_eq!(norm.to_bits(), norm2(&w).to_bits(), "{case}");
+                    if orthonormal {
+                        assert_eq!(sweeps, 1 + usize::from(repeat), "{case}");
+                        if norm > 0.0 {
+                            let overlap = max_overlap(&w, basis);
+                            assert!(overlap <= 1e-14, "{case}: overlap {overlap:e}");
+                        }
+                    }
+                    if let Some(avx) = avx {
+                        let mut wa = w0.clone();
+                        let (sweeps_a, norm_a) = reorthogonalize(&mut wa, basis, avx);
+                        assert_eq!(sweeps_a, sweeps, "{case}");
+                        assert_eq!(norm_a.to_bits(), norm.to_bits(), "{case}");
+                        let same = w.iter().zip(&wa).all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(same, "{case}: AVX and portable w differ");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extreme_is_bit_identical_on_both_sweep_paths() {
+        // 40+ steps: several full blocks and a partial one per sweep
+        let g = random_connected_graph(3_000, 9_000, 44);
+        let sop = SymmetricWalkOp::new(&g);
+        let basis = vec![sop.top_eigenvector()];
+        let defl = DeflatedOp::new(sop, &basis);
+        let run = |sweep: Sweep| {
+            extreme_with(
+                &defl,
+                LanczosOptions::default(),
+                &mut StdRng::seed_from_u64(45),
+                sweep,
+            )
+        };
+        let portable = run(block_sweep_portable);
+        assert!(portable.converged && portable.iterations > 40);
+        // the library's own dispatch: the AVX path wherever it can run
+        if avx_sweep().is_none() {
+            skip_note("extreme_is_bit_identical_on_both_sweep_paths");
+        }
+        let dispatched = run(block_sweep);
+        assert_eq!(dispatched.top.to_bits(), portable.top.to_bits());
+        assert_eq!(dispatched.bottom.to_bits(), portable.bottom.to_bits());
+        assert_eq!(dispatched.iterations, portable.iterations);
+    }
+
+    /// A spanning tree over `n` nodes plus `extra` seeded random edges.
+    fn random_connected_graph(n: u32, extra: usize, seed: u64) -> socmix_graph::Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new();
+        for v in 1..n {
+            b.add_edge(rng.random_range(0..v), v);
+        }
+        for _ in 0..extra {
+            let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+            if u != v {
+                b.add_edge(u, v);
+            }
+        }
+        b.build()
     }
 
     /// `check_every: 0` would divide by zero in the check schedule; it

@@ -522,12 +522,15 @@ mod tests {
         assert!(r.converged);
     }
 
-    fn deflated_pair(
+    /// Runs `f` on the f64 and f32 walk operators of `g` with λ₁
+    /// deflated; the deflation bases live on this frame.
+    fn with_deflated_pair<T>(
         g: &socmix_graph::Graph,
-    ) -> (
-        DeflatedOp<'_, SymmetricWalkOp<'_>>,
-        crate::op::DeflatedOpF32<'_, crate::op::SymmetricWalkOpF32<'_>>,
-    ) {
+        f: impl FnOnce(
+            &DeflatedOp<'_, SymmetricWalkOp<'_>>,
+            &crate::op::DeflatedOpF32<'_, crate::op::SymmetricWalkOpF32<'_>>,
+        ) -> T,
+    ) -> T {
         use crate::kernel::KernelConfig;
         use crate::op::{DeflatedOpF32, SymmetricWalkOpF32};
         use socmix_par::Pool;
@@ -535,9 +538,9 @@ mod tests {
         let basis = vec![sop.top_eigenvector()];
         let sop32 = SymmetricWalkOpF32::with_kernel(g, Pool::serial(), KernelConfig::mixed_f32());
         let basis32 = vec![sop32.top_eigenvector32()];
-        (
-            DeflatedOp::new(sop, Box::leak(Box::new(basis))),
-            DeflatedOpF32::new(sop32, Box::leak(Box::new(basis32))),
+        f(
+            &DeflatedOp::new(sop, &basis),
+            &DeflatedOpF32::new(sop32, &basis32),
         )
     }
 
@@ -555,10 +558,10 @@ mod tests {
         ])
         .build();
         let expect = slem_dense(&g);
-        let (defl, defl32) = deflated_pair(&g);
         let mut rng = StdRng::seed_from_u64(8);
-        let mu =
-            spectral_radius_in_complement_mixed(&defl, &defl32, PowerOptions::default(), &mut rng);
+        let mu = with_deflated_pair(&g, |defl, defl32| {
+            spectral_radius_in_complement_mixed(defl, defl32, PowerOptions::default(), &mut rng)
+        });
         assert_close(mu.radius, expect, 1e-6);
         assert!(mu.converged);
         assert!(mu.iterations > 0 && mu.iterations < PowerOptions::default().max_iter);
@@ -567,10 +570,10 @@ mod tests {
     #[test]
     fn mixed_power_bipartite_star() {
         let g = GraphBuilder::from_edges([(0, 1), (0, 2), (0, 3), (0, 4)]).build();
-        let (defl, defl32) = deflated_pair(&g);
         let mut rng = StdRng::seed_from_u64(9);
-        let mu =
-            spectral_radius_in_complement_mixed(&defl, &defl32, PowerOptions::default(), &mut rng);
+        let mu = with_deflated_pair(&g, |defl, defl32| {
+            spectral_radius_in_complement_mixed(defl, defl32, PowerOptions::default(), &mut rng)
+        });
         assert_close(mu.radius, 1.0, 1e-6);
         assert!(mu.converged);
     }
@@ -578,13 +581,14 @@ mod tests {
     #[test]
     fn mixed_budget_respected() {
         let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0), (2, 3)]).build();
-        let (defl, defl32) = deflated_pair(&g);
         let mut rng = StdRng::seed_from_u64(10);
         let opts = PowerOptions {
             max_iter: 1,
             tol: 1e-15,
         };
-        let r = power_iteration_mixed(&defl, &defl32, opts, &mut rng);
+        let r = with_deflated_pair(&g, |defl, defl32| {
+            power_iteration_mixed(defl, defl32, opts, &mut rng)
+        });
         assert_eq!(r.iterations, 1);
         assert!(!r.converged);
         // the uncounted polish still reports an honest f64 residual

@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use socmix::gen::ba::barabasi_albert;
-use socmix::gen::fixtures::{complete_bipartite, cycle, petersen};
+use socmix::gen::fixtures::{complete, complete_bipartite, cycle, path, petersen};
 use socmix::graph::{Graph, GraphBuilder};
 use socmix::linalg::vecops::{dot, norm2};
 use socmix::linalg::{
@@ -86,6 +86,37 @@ fn complete_bipartite_bottom_is_minus_one() {
     // K₃,₃: walk spectrum {1, 0⁴, −1}
     let r = deflated_extremes(&complete_bipartite(3, 3), 4);
     assert_close("K3,3 bottom", r.bottom, -1.0);
+}
+
+/// Sizes for the families below. On the path the deflated Krylov
+/// basis grows to n − 1 vectors: fewer than one eight-vector
+/// Gram–Schmidt block (5), exactly one block (9) and a block plus
+/// leftovers (13). No size is a multiple of 8, so every pass over a
+/// vector ends in a scalar tail.
+const SMALL_SIZES: [usize; 3] = [5, 9, 13];
+
+#[test]
+fn complete_graph_deflates_to_one_eigenvalue() {
+    // K_n: walk spectrum {1, (−1/(n−1))^(n−1)}, so the deflated
+    // operator is −1/(n−1) times the identity on its range
+    for (seed, n) in (5..).zip(SMALL_SIZES) {
+        let r = deflated_extremes(&complete(n), seed);
+        let want = -1.0 / (n - 1) as f64;
+        assert_close(&format!("K{n} top"), r.top, want);
+        assert_close(&format!("K{n} bottom"), r.bottom, want);
+    }
+}
+
+#[test]
+fn path_extremes_are_cos_pi_over_n_minus_one_and_minus_one() {
+    // P_n: walk eigenvalues cos(πk/(n−1)), k = 0..n−1; bipartite, so
+    // the bottom is −1
+    for (seed, n) in (8..).zip(SMALL_SIZES) {
+        let r = deflated_extremes(&path(n), seed);
+        let top = (std::f64::consts::PI / (n - 1) as f64).cos();
+        assert_close(&format!("P{n} top"), r.top, top);
+        assert_close(&format!("P{n} bottom"), r.bottom, -1.0);
+    }
 }
 
 #[test]
