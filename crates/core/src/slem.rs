@@ -12,25 +12,32 @@ use socmix_markov::ergodicity;
 use socmix_obs::{obs_info, Counter};
 use socmix_par::Pool;
 
-/// `Auto` runs resolved to the Lanczos backend (n ≤ 200k).
+/// `Auto` runs resolved to the Lanczos backend.
 static AUTO_LANCZOS: Counter = Counter::new("core.slem.auto_lanczos");
-/// `Auto` runs resolved to power iteration (n > 200k).
+/// `Auto` runs resolved to power iteration (the f32 kernel, n > 200k).
 static AUTO_POWER: Counter = Counter::new("core.slem.auto_power");
+
+/// Largest graph `Auto` hands to Lanczos on the f32 kernel, whose
+/// mixed-precision driver stores its basis.
+const MIXED_LANCZOS_MAX_NODES: usize = 200_000;
 
 /// Which eigensolver backend computes µ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlemMethod {
-    /// Lanczos with full reorthogonalization on the deflated
-    /// symmetric walk operator — the production path. Memory
-    /// O(n · basis).
+    /// Lanczos on the deflated symmetric walk operator — the
+    /// production path. On the f64 kernels it keeps no basis, so its
+    /// memory is O(n) at every size; on the f32 kernel the
+    /// mixed-precision driver stores an f32 basis of at most 300
+    /// vectors.
     Lanczos,
-    /// Power iteration on the deflated operator — O(n) memory, used
-    /// for graphs whose Lanczos basis would not fit, and as the
-    /// independent cross-check.
+    /// Power iteration on the deflated operator — O(n) memory, the
+    /// independent cross-check, and `Auto`'s choice for large graphs
+    /// on the f32 kernel.
     PowerIteration,
     /// Dense Jacobi — ground truth, O(n²) memory; only for n ≲ 512.
     Dense,
-    /// Lanczos for graphs up to ~200k nodes, power iteration beyond.
+    /// Lanczos at every size on the f64 kernels. On the f32 kernel,
+    /// Lanczos up to 200k nodes and power iteration beyond.
     Auto,
 }
 
@@ -192,13 +199,12 @@ impl<'g> Slem<'g> {
         }
         let method = match self.method {
             SlemMethod::Auto => {
-                let chosen = if g.num_nodes() <= 200_000 {
+                let chosen = auto_backend(g.num_nodes(), self.kernel.kind);
+                if chosen == SlemMethod::Lanczos {
                     AUTO_LANCZOS.incr();
-                    SlemMethod::Lanczos
                 } else {
                     AUTO_POWER.incr();
-                    SlemMethod::PowerIteration
-                };
+                }
                 obs_info!(
                     "core.slem",
                     "auto backend for n={}: {chosen:?}",
@@ -267,6 +273,15 @@ impl<'g> Slem<'g> {
             }
             SlemMethod::Auto => unreachable!("resolved above"),
         })
+    }
+}
+
+/// The backend `Auto` picks for an `n`-node graph on `kernel`.
+fn auto_backend(n: usize, kernel: KernelKind) -> SlemMethod {
+    if kernel != KernelKind::F32 || n <= MIXED_LANCZOS_MAX_NODES {
+        SlemMethod::Lanczos
+    } else {
+        SlemMethod::PowerIteration
     }
 }
 
@@ -377,6 +392,21 @@ mod tests {
         let g = fixtures::petersen();
         let est = Slem::auto(&g).estimate().unwrap();
         assert_eq!(est.method, SlemMethod::Lanczos);
+    }
+
+    #[test]
+    fn auto_uses_lanczos_at_every_size_on_f64_kernels() {
+        for kernel in [KernelKind::Scalar, KernelKind::Blocked] {
+            for n in [2, 200_000, 200_001, 1_134_890] {
+                assert_eq!(auto_backend(n, kernel), SlemMethod::Lanczos);
+            }
+        }
+        // the mixed-precision driver stores its basis
+        assert_eq!(auto_backend(200_000, KernelKind::F32), SlemMethod::Lanczos);
+        assert_eq!(
+            auto_backend(200_001, KernelKind::F32),
+            SlemMethod::PowerIteration
+        );
     }
 
     #[test]

@@ -1,27 +1,28 @@
-//! Lanczos iteration with full reorthogonalization.
+//! Lanczos iteration for symmetric operators.
 //!
-//! The production SLEM path: run Lanczos on the deflated symmetric
-//! walk operator and read the extreme Ritz values — the top one
-//! converges to λ₂ and the bottom one to λₙ, giving
-//! `µ = max(λ₂, −λₙ)`.
+//! [`lanczos_extreme`] is the production SLEM path: it runs Lanczos on
+//! the deflated symmetric walk operator and reads the extreme Ritz
+//! values — the top one converges to λ₂ and the bottom one to λₙ,
+//! giving `µ = max(λ₂, −λₙ)`. It keeps only the three-term
+//! recurrence's three n-vectors and the tridiagonal coefficients: O(n)
+//! memory at every graph size. Without reorthogonalization, Lanczos
+//! grows duplicate ("ghost") copies of Ritz values that have converged
+//! (Paige 1980; Cullum & Willoughby, *Lanczos Algorithms for Large
+//! Symmetric Eigenvalue Computations*, 1985). A ghost never moves the
+//! extreme Ritz values, but it shares a converged value without its
+//! small residual bound, so the convergence test takes the smallest
+//! bound among the Ritz values within [`GHOST_TOL`] of an extreme one.
 //!
-//! Full reorthogonalization (each new vector orthogonalized against
-//! the whole basis every step) trades memory — `O(n·k)` for `k` basis
-//! vectors — for numerical robustness; without it, Lanczos famously
-//! produces ghost copies of converged eigenvalues. At the basis sizes
-//! extremal problems need (k ≤ a few hundred) this is the right trade.
-//! For graphs too large for the basis to fit in memory, use
-//! [`crate::power::power_iteration`], which needs O(n).
-//!
-//! Reorthogonalization dominates a solve, so the f64 drivers read the
-//! basis once per step: one Gram–Schmidt sweep, repeated only when the
-//! DGKS test says the first lost orthogonality (see
-//! [`reorthogonalize`]). The sweep is [`block_sweep`], which takes
-//! eight coefficients per pass over `w` and runs 256-bit AVX code where
-//! the CPU has it, with the same bits as its portable path; its last
-//! ‖w‖ is the step's β. The convergence checks need only the last row
-//! of the tridiagonal eigenvector matrix, which
-//! [`tridiag_eigen_last_row`] computes in O(k²) instead of O(k³).
+//! [`lanczos_topk`] returns Ritz vectors, so it stores its basis and
+//! orthogonalizes each new vector against all of it: one Gram–Schmidt
+//! sweep per step, repeated only when the DGKS test says the first
+//! lost orthogonality (see [`reorthogonalize`]). The sweep is
+//! [`block_sweep`], which takes eight coefficients per pass over `w`
+//! and runs 256-bit AVX code where the CPU has it, with the same bits
+//! as its portable path; its last ‖w‖ is the step's β. The
+//! convergence checks of every driver need only the last row of the
+//! tridiagonal eigenvector matrix, which [`tridiag_eigen_last_row`]
+//! computes in O(k²) instead of O(k³).
 
 use crate::op::{LinearOp, LinearOpF32};
 use crate::tridiag::{tridiag_eigen, tridiag_eigen_last_row};
@@ -38,13 +39,18 @@ static MIXED_RUNS: Counter = Counter::new("linalg.lanczos.mixed_runs");
 /// Wall time per Lanczos run (extreme/topk, scalar and mixed); on a
 /// trace timeline one span per SLEM solve.
 static RUN_NS: Histogram = Histogram::new("linalg.lanczos.run_ns");
-/// Steps whose reorthogonalization needed a second sweep.
+/// [`lanczos_topk`] steps whose reorthogonalization needed a second
+/// sweep.
 static REORTH_REPEATS: Counter = Counter::new("linalg.lanczos.reorth_repeats");
 
 /// DGKS threshold: a Gram–Schmidt sweep that keeps no more than this
 /// fraction of ‖w‖ has cancelled enough that rounding may have left
 /// components along the basis, so the sweep is repeated.
 const DGKS_ETA: f64 = std::f64::consts::FRAC_1_SQRT_2;
+
+/// Ritz values closer than this to an extreme one count as copies of
+/// it in [`lanczos_extreme`]'s convergence test.
+const GHOST_TOL: f64 = 1e-10;
 
 /// β below this level in the f32 recurrence means the Krylov space is
 /// exhausted *at f32 resolution* — continuing would only orthogonalize
@@ -60,11 +66,16 @@ const F32_RESIDUAL_FLOOR: f64 = 1e-6;
 const MIXED_TOL_FLOOR: f64 = 1e-5;
 /// f64 shifted power-iteration refinement steps per extreme vector.
 const MIXED_REFINE_STEPS: usize = 2;
+/// Most f32 basis vectors [`lanczos_extreme_mixed`] stores, whatever
+/// step budget `max_iter` gives.
+const MIXED_MAX_BASIS: usize = 300;
 
-/// Options for [`lanczos_extreme`].
+/// Options for the Lanczos drivers.
 #[derive(Debug, Clone, Copy)]
 pub struct LanczosOptions {
-    /// Maximum Lanczos steps (= maximum basis size).
+    /// Maximum Lanczos steps. [`lanczos_extreme`] keeps no basis, so
+    /// this bounds only its time; [`lanczos_topk`] stores one vector
+    /// per step, so for it this is also the basis size.
     pub max_iter: usize,
     /// Residual tolerance for the extreme Ritz pairs.
     pub tol: f64,
@@ -75,7 +86,7 @@ pub struct LanczosOptions {
 impl Default for LanczosOptions {
     fn default() -> Self {
         LanczosOptions {
-            max_iter: 300,
+            max_iter: 2_000,
             tol: 1e-9,
             check_every: 10,
         }
@@ -99,14 +110,26 @@ pub struct LanczosResult {
     pub converged: bool,
 }
 
+/// What the extreme drivers report when the operator is zero on the
+/// start vector.
+const ZERO_SPECTRUM: LanczosResult = LanczosResult {
+    top: 0.0,
+    bottom: 0.0,
+    top_residual: 0.0,
+    bottom_residual: 0.0,
+    iterations: 0,
+    converged: true,
+};
+
 /// Runs Lanczos on a symmetric operator and returns its extreme
-/// eigenvalues.
+/// eigenvalues, in O(n) memory.
 ///
 /// The starting vector is random (from `rng`) — callers wanting the
 /// operator restricted to a subspace should wrap it in
 /// [`crate::op::DeflatedOp`], whose projection is applied on every
 /// operator application, keeping the Krylov space orthogonal to the
-/// deflated directions.
+/// deflated directions. The residual bounds are ghost-aware (see the
+/// module docs).
 ///
 /// # Panics
 ///
@@ -116,120 +139,97 @@ pub fn lanczos_extreme<Op: LinearOp, R: Rng + ?Sized>(
     opts: LanczosOptions,
     rng: &mut R,
 ) -> LanczosResult {
-    extreme_with(op, opts, rng, block_sweep)
-}
-
-/// [`lanczos_extreme`] with the Gram–Schmidt sweep given, so tests can
-/// run the driver on each path of [`block_sweep`].
-fn extreme_with<Op: LinearOp, R: Rng + ?Sized>(
-    op: &Op,
-    opts: LanczosOptions,
-    rng: &mut R,
-    sweep: Sweep,
-) -> LanczosResult {
     let n = op.dim();
     assert!(n > 0, "operator must be non-empty");
     RUNS.incr();
     let _span = Span::start(&RUN_NS);
-    let max_iter = opts.max_iter.min(n).max(1);
+    let max_iter = opts.max_iter.max(1);
     let check_every = opts.check_every.max(1);
 
-    // random start, normalized
-    let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
-    // one operator application folds the start into the operator's
-    // range (for a DeflatedOp this also projects out the deflated
-    // directions); if it vanishes, fall back to the raw random vector.
-    {
-        let w = op.apply_vec(&v);
-        if norm2(&w) > 1e-12 {
-            v = w;
-        }
-    }
-    if normalize(&mut v) == 0.0 {
-        // operator is zero on this vector; report a zero spectrum
-        return LanczosResult {
-            top: 0.0,
-            bottom: 0.0,
-            top_residual: 0.0,
-            bottom_residual: 0.0,
-            iterations: 0,
-            converged: true,
-        };
-    }
-
-    let mut basis: Vec<Vec<f64>> = vec![v];
+    let Some(mut v) = folded_start(op, rng) else {
+        return ZERO_SPECTRUM;
+    };
+    // v_{j-1}, and v_{j+1} once scaled: the three vectors rotate
+    let mut prev = vec![0.0; n];
+    let mut w = vec![0.0; n];
     let mut alphas: Vec<f64> = Vec::new();
     let mut betas: Vec<f64> = Vec::new();
-
-    let result =
-        |alphas: &[f64], betas: &[f64], iters: usize, forced: bool| -> Option<LanczosResult> {
-            if alphas.is_empty() {
-                return None;
-            }
-            let k = alphas.len();
-            let (vals, last) = tridiag_eigen_last_row(alphas, &betas[..k - 1]);
-            let beta_last = betas.get(k - 1).copied().unwrap_or(0.0);
-            // residual bound for Ritz pair i: |β_k| · |s_{k,i}| where s is
-            // the bottom component of T's eigenvector
-            let res_top = beta_last.abs() * last[0].abs();
-            let res_bot = beta_last.abs() * last[k - 1].abs();
-            // residual trajectory: one event per convergence check
-            obs_debug!(
-                "linalg.lanczos",
-                "step {iters}: ritz [{:.8}, {:.8}] residuals [{res_top:.3e}, {res_bot:.3e}]",
-                vals[k - 1],
-                vals[0]
-            );
-            let converged = res_top < opts.tol && res_bot < opts.tol;
-            if converged || forced {
-                Some(LanczosResult {
-                    top: vals[0],
-                    bottom: vals[k - 1],
-                    top_residual: res_top,
-                    bottom_residual: res_bot,
-                    iterations: iters,
-                    converged,
-                })
-            } else {
-                None
-            }
-        };
-
-    for j in 0..max_iter {
+    let mut beta = 0.0;
+    loop {
         STEPS.incr();
-        // `w` is the only per-step allocation left: it becomes the
-        // next basis vector (storage the algorithm must keep), while
-        // the operator's own scratch is reused across applies.
-        let mut w = vec![0.0; n];
-        op.apply(&basis[j], &mut w);
-        let alpha = dot(&w, &basis[j]);
-        axpy(-alpha, &basis[j], &mut w);
-        if j > 0 {
-            let beta_prev = betas[j - 1];
-            axpy(-beta_prev, &basis[j - 1], &mut w);
+        op.apply(&v, &mut w);
+        // Paige's order: α is taken after β_{j-1}·v_{j-1} comes off
+        if !alphas.is_empty() {
+            axpy(-beta, &prev, &mut w);
         }
-        let (_, beta) = reorthogonalize(&mut w, &basis, sweep);
+        let alpha = dot(&w, &v);
+        axpy(-alpha, &v, &mut w);
+        beta = norm2(&w);
         alphas.push(alpha);
-        if beta < 1e-14 {
-            // invariant subspace found: the tridiagonal matrix is exact
-            betas.push(0.0);
-            return result(&alphas, &betas, j + 1, true).expect("nonempty");
-        }
-        betas.push(beta);
-        if basis.len() == max_iter {
-            break;
-        }
-        scale(&mut w, 1.0 / beta);
-        basis.push(w);
-
-        if (j + 1) % check_every == 0 {
-            if let Some(r) = result(&alphas, &betas, j + 1, false) {
+        // below 1e-14 the Krylov space is exhausted and T is exact
+        let exhausted = beta < 1e-14;
+        betas.push(if exhausted { 0.0 } else { beta });
+        let last = exhausted || alphas.len() == max_iter;
+        if last || alphas.len().is_multiple_of(check_every) {
+            let r = extreme_ritz(&alphas, &betas, opts.tol);
+            if r.converged || last {
                 return r;
             }
         }
+        scale(&mut w, 1.0 / beta);
+        std::mem::swap(&mut prev, &mut v);
+        std::mem::swap(&mut v, &mut w);
     }
-    let iters = alphas.len();
-    result(&alphas, &betas, iters, true).expect("nonempty")
+}
+
+/// The extreme Ritz values of the tridiagonal matrix with diagonal
+/// `alphas` and off-diagonal `betas` (whose last entry is the β of the
+/// step that would come next), with their ghost-aware residual bounds.
+fn extreme_ritz(alphas: &[f64], betas: &[f64], tol: f64) -> LanczosResult {
+    let k = alphas.len();
+    let (vals, last) = tridiag_eigen_last_row(alphas, &betas[..k - 1]);
+    let beta_last = betas[k - 1];
+    let res_top = ghost_aware_residual(&vals, &last, beta_last, 0);
+    let res_bot = ghost_aware_residual(&vals, &last, beta_last, k - 1);
+    // residual trajectory: one event per convergence check
+    obs_debug!(
+        "linalg.lanczos",
+        "step {k}: ritz [{:.8}, {:.8}] residuals [{res_top:.3e}, {res_bot:.3e}]",
+        vals[k - 1],
+        vals[0]
+    );
+    LanczosResult {
+        top: vals[0],
+        bottom: vals[k - 1],
+        top_residual: res_top,
+        bottom_residual: res_bot,
+        iterations: k,
+        converged: res_top < tol && res_bot < tol,
+    }
+}
+
+/// Residual bound of the Ritz value `vals[i]`: the smallest
+/// `|β · last[j]|` over the Ritz values `vals[j]` within [`GHOST_TOL`]
+/// of it.
+fn ghost_aware_residual(vals: &[f64], last: &[f64], beta: f64, i: usize) -> f64 {
+    vals.iter()
+        .zip(last)
+        .filter(|&(&val, _)| (val - vals[i]).abs() <= GHOST_TOL)
+        .map(|(_, &s)| beta.abs() * s.abs())
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// A random start folded into the operator's range by one application
+/// (for a `DeflatedOp` this also projects out the deflated
+/// directions), or the raw random vector if that vanishes; normalized.
+/// `None` when the operator's start is zero.
+fn folded_start<Op: LinearOp, R: Rng + ?Sized>(op: &Op, rng: &mut R) -> Option<Vec<f64>> {
+    let mut v: Vec<f64> = (0..op.dim()).map(|_| rng.random::<f64>() - 0.5).collect();
+    let w = op.apply_vec(&v);
+    if norm2(&w) > 1e-12 {
+        v = w;
+    }
+    (normalize(&mut v) != 0.0).then_some(v)
 }
 
 /// Mixed-precision Lanczos: the three-term recurrence and the full
@@ -267,7 +267,7 @@ where
     RUNS.incr();
     MIXED_RUNS.incr();
     let _span = Span::start(&RUN_NS);
-    let max_iter = opts.max_iter.min(n).max(1);
+    let max_iter = opts.max_iter.min(n).clamp(1, MIXED_MAX_BASIS);
     let check_every = opts.check_every.max(1);
 
     // random start, folded into the operator's range (projects out the
@@ -281,14 +281,7 @@ where
         }
     }
     if normalize32(&mut v32) == 0.0 {
-        return LanczosResult {
-            top: 0.0,
-            bottom: 0.0,
-            top_residual: 0.0,
-            bottom_residual: 0.0,
-            iterations: 0,
-            converged: true,
-        };
+        return ZERO_SPECTRUM;
     }
 
     let mut basis: Vec<Vec<f32>> = vec![v32];
@@ -416,12 +409,24 @@ pub struct TopkResult {
 /// their eigenvectors — the coordinates that separate communities.
 ///
 /// Convergence is judged on the k-th pair's residual; the basis grows
-/// until `opts.max_iter`.
+/// until `opts.max_iter` (at most n).
 pub fn lanczos_topk<Op: LinearOp, R: Rng + ?Sized>(
     op: &Op,
     k: usize,
     opts: LanczosOptions,
     rng: &mut R,
+) -> TopkResult {
+    topk_with(op, k, opts, rng, block_sweep)
+}
+
+/// [`lanczos_topk`] with the Gram–Schmidt sweep given, so tests can
+/// run the driver on each path of [`block_sweep`].
+fn topk_with<Op: LinearOp, R: Rng + ?Sized>(
+    op: &Op,
+    k: usize,
+    opts: LanczosOptions,
+    rng: &mut R,
+    sweep: Sweep,
 ) -> TopkResult {
     let n = op.dim();
     assert!(n > 0 && k >= 1);
@@ -430,21 +435,14 @@ pub fn lanczos_topk<Op: LinearOp, R: Rng + ?Sized>(
     let max_iter = opts.max_iter.min(n).max(k);
     let check_every = opts.check_every.max(1);
 
-    let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
-    {
-        let w = op.apply_vec(&v);
-        if norm2(&w) > 1e-12 {
-            v = w;
-        }
-    }
-    if normalize(&mut v) == 0.0 {
+    let Some(v) = folded_start(op, rng) else {
         return TopkResult {
             values: vec![0.0; k.min(n)],
             vectors: vec![vec![0.0; n]; k.min(n)],
             residuals: vec![0.0; k.min(n)],
             iterations: 0,
         };
-    }
+    };
     let mut basis: Vec<Vec<f64>> = vec![v];
     let mut alphas: Vec<f64> = Vec::new();
     let mut betas: Vec<f64> = Vec::new();
@@ -459,7 +457,7 @@ pub fn lanczos_topk<Op: LinearOp, R: Rng + ?Sized>(
         if j > 0 {
             axpy(-betas[j - 1], &basis[j - 1], &mut w);
         }
-        let (_, beta) = reorthogonalize(&mut w, &basis, block_sweep);
+        let (_, beta) = reorthogonalize(&mut w, &basis, sweep);
         alphas.push(alpha);
         if beta < 1e-14 {
             betas.push(0.0);
@@ -524,8 +522,8 @@ type Sweep = fn(&mut [f64], &[Vec<f64>]);
 /// two sweeps are enough, Giraud–Langou–Rozložník 2005). The order of
 /// every sum in [`block_sweep`] is fixed by `n` and the basis size, so
 /// the result does not depend on the pool or kernel the operator ran
-/// on. The returned norm is the [`norm2`] the drivers would otherwise
-/// recompute for β.
+/// on. The returned norm is the [`norm2`] [`lanczos_topk`] would
+/// otherwise recompute for β.
 fn reorthogonalize(w: &mut [f64], basis: &[Vec<f64>], sweep: Sweep) -> (usize, f64) {
     let before = norm2(w);
     sweep(w, basis);
@@ -649,31 +647,114 @@ mod tests {
         assert_close(mu, expect, 1e-7);
     }
 
+    /// K₃,₃: walk spectrum {1, 0⁴, −1}.
+    fn k33() -> socmix_graph::Graph {
+        let mut b = GraphBuilder::new();
+        for u in 0..3u32 {
+            for v in 0..3u32 {
+                b.add_edge(u, 3 + v);
+            }
+        }
+        b.build()
+    }
+
     #[test]
     fn bipartite_bottom_is_minus_one() {
-        // K_{3,3}: spectrum {1, 0, …, -1}. The folded start vector lies
-        // in the span of the ±1 eigenvectors, so the Krylov space runs
-        // out at step 2, where the recurrence leaves only rounding noise
-        // for the first sweep to cancel: the second sweep fires there,
-        // and the answer must hold.
-        let g = {
-            let mut b = GraphBuilder::new();
-            for u in 0..3u32 {
-                for v in 0..3u32 {
-                    b.add_edge(u, 3 + v);
-                }
-            }
-            b.build()
-        };
+        // The folded start vector lies in the span of the ±1
+        // eigenvectors, so the Krylov space runs out at step 2, where
+        // the recurrence leaves only rounding noise, and the answer
+        // must hold.
+        let g = k33();
+        let op = SymmetricWalkOp::new(&g);
+        let mut rng = StdRng::seed_from_u64(4);
+        let r = lanczos_extreme(&op, LanczosOptions::default(), &mut rng);
+        assert_eq!(r.iterations, 2);
+        assert_close(r.bottom, -1.0, 1e-9);
+        assert_close(r.top, 1.0, 1e-9);
+    }
+
+    #[test]
+    fn topk_second_sweep_fires_where_the_krylov_space_runs_out() {
+        // As above, the recurrence leaves only rounding noise at step
+        // 2 for the first sweep to cancel: the second sweep fires
+        // there, and the answer must hold.
+        let g = k33();
         let op = SymmetricWalkOp::new(&g);
         let mut rng = StdRng::seed_from_u64(4);
         socmix_obs::set_metrics_enabled(true);
         let repeats = REORTH_REPEATS.get();
-        let r = lanczos_extreme(&op, LanczosOptions::default(), &mut rng);
+        let r = lanczos_topk(&op, 2, LanczosOptions::default(), &mut rng);
         assert!(REORTH_REPEATS.get() > repeats, "no second sweep");
         assert_eq!(r.iterations, 2);
-        assert_close(r.bottom, -1.0, 1e-9);
-        assert_close(r.top, 1.0, 1e-9);
+        assert_close(r.values[0], 1.0, 1e-9);
+        assert_close(r.values[1], -1.0, 1e-9);
+    }
+
+    #[test]
+    fn ghost_residual_takes_the_converged_copy() {
+        // The 2×2 block [[0.5, 0.5], [0.5, 0.5 + 2e-11]] in the last
+        // rows has eigenvalues 1 + 1e-11 and 1e-11, both with a last
+        // component near 1/√2: the unconverged copies. The 1×1 blocks
+        // [2e-11] and [1] above it are converged copies of the same two
+        // values, with last component 0, and sort just inside them. A
+        // coupling of 1e-20 is below the QL split threshold, so the
+        // blocks decouple exactly.
+        let diag = [2e-11, 1.0, 0.5, 0.5 + 2e-11];
+        let off = [1e-20, 1e-20, 0.5];
+        let (vals, last) = tridiag_eigen_last_row(&diag, &off);
+        let k = vals.len();
+        assert!(vals[0] > vals[1] && vals[0] - vals[1] < GHOST_TOL);
+        assert!(vals[k - 2] - vals[k - 1] < GHOST_TOL);
+        let beta = 0.3;
+        // the sorted-extreme copies alone would report ~0.21
+        assert!(beta * last[0].abs() > 0.1 && beta * last[k - 1].abs() > 0.1);
+        let top = ghost_aware_residual(&vals, &last, beta, 0);
+        let bottom = ghost_aware_residual(&vals, &last, beta, k - 1);
+        assert!(top <= 1e-15, "top residual {top:e}");
+        assert!(bottom <= 1e-15, "bottom residual {bottom:e}");
+
+        // a copy 1e-9 away is a different Ritz value: no longer counted
+        let diag = [2e-11, 1.0 - 1e-9, 0.5, 0.5 + 2e-11];
+        let (vals, last) = tridiag_eigen_last_row(&diag, &off);
+        assert_eq!(
+            ghost_aware_residual(&vals, &last, beta, 0).to_bits(),
+            (beta * last[0].abs()).to_bits()
+        );
+    }
+
+    #[test]
+    fn extremes_hold_well_past_convergence_among_ghosts() {
+        // tol 0 never passes, so each run takes exactly `max_iter`
+        // steps, here 2n to 3n: far more Ritz values than the at most
+        // n − 1 distinct eigenvalues of the deflated operator, most of
+        // them ghosts. Stopping at many step counts also catches ghosts
+        // while they form, when a copy without the converged one's
+        // small bound sorts first.
+        let n = 300;
+        let g = random_connected_graph(n as u32, 600, 46);
+        let (jv, _) = jacobi_eigen(&DenseMatrix::symmetric_walk_matrix(&g));
+        let sop = SymmetricWalkOp::new(&g);
+        let basis = vec![sop.top_eigenvector()];
+        let defl = DeflatedOp::new(sop, &basis);
+        for start in 0..3 {
+            for steps in (2 * n..=3 * n).step_by(10) {
+                let opts = LanczosOptions {
+                    max_iter: steps,
+                    tol: 0.0,
+                    check_every: steps,
+                };
+                let r = lanczos_extreme(&defl, opts, &mut StdRng::seed_from_u64(start));
+                assert_eq!(r.iterations, steps);
+                assert_close(r.top, jv[1], 1e-9);
+                assert_close(r.bottom, jv[n - 1], 1e-9);
+                assert!(
+                    r.top_residual < 1e-9 && r.bottom_residual < 1e-9,
+                    "start {start}, {steps} steps: residuals {:e}, {:e}",
+                    r.top_residual,
+                    r.bottom_residual
+                );
+            }
+        }
     }
 
     #[test]
@@ -990,30 +1071,31 @@ mod tests {
     }
 
     #[test]
-    fn extreme_is_bit_identical_on_both_sweep_paths() {
+    fn topk_is_bit_identical_on_both_sweep_paths() {
         // 40+ steps: several full blocks and a partial one per sweep
         let g = random_connected_graph(3_000, 9_000, 44);
         let sop = SymmetricWalkOp::new(&g);
         let basis = vec![sop.top_eigenvector()];
         let defl = DeflatedOp::new(sop, &basis);
-        let run = |sweep: Sweep| {
-            extreme_with(
-                &defl,
-                LanczosOptions::default(),
-                &mut StdRng::seed_from_u64(45),
-                sweep,
-            )
+        let opts = LanczosOptions {
+            max_iter: 300,
+            ..LanczosOptions::default()
         };
+        let run = |sweep: Sweep| topk_with(&defl, 2, opts, &mut StdRng::seed_from_u64(45), sweep);
         let portable = run(block_sweep_portable);
-        assert!(portable.converged && portable.iterations > 40);
+        assert!(portable.residuals[1] < opts.tol && portable.iterations > 40);
         // the library's own dispatch: the AVX path wherever it can run
         if avx_sweep().is_none() {
-            skip_note("extreme_is_bit_identical_on_both_sweep_paths");
+            skip_note("topk_is_bit_identical_on_both_sweep_paths");
         }
         let dispatched = run(block_sweep);
-        assert_eq!(dispatched.top.to_bits(), portable.top.to_bits());
-        assert_eq!(dispatched.bottom.to_bits(), portable.bottom.to_bits());
         assert_eq!(dispatched.iterations, portable.iterations);
+        for (d, p) in dispatched.values.iter().zip(&portable.values) {
+            assert_eq!(d.to_bits(), p.to_bits());
+        }
+        for (d, p) in dispatched.vectors.iter().zip(&portable.vectors) {
+            assert!(d.iter().zip(p).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     }
 
     /// A spanning tree over `n` nodes plus `extra` seeded random edges.

@@ -28,8 +28,9 @@
 //!   truth for everything else on graphs up to a few hundred nodes.
 //! - [`tridiag`] — symmetric tridiagonal QL with implicit shifts,
 //!   the inner solver for Lanczos.
-//! - [`lanczos`] — **Lanczos with full reorthogonalization**, the
-//!   production path for SLEM on large graphs.
+//! - [`lanczos`] — **Lanczos**: the extreme pair in O(n) memory with
+//!   no stored basis, the production path for SLEM at every size, and
+//!   the top-k pairs with full reorthogonalization.
 //! - [`power`] — power iteration with Rayleigh quotients, an
 //!   independent second method used to cross-check Lanczos.
 //! - [`vecops`] — the dense vector kernels shared by all of the

@@ -3,9 +3,8 @@
 //! The second, independent SLEM method: on the deflated symmetric walk
 //! operator the dominant eigenvalue *in modulus* is exactly
 //! `µ = max(λ₂, −λₙ)`, so plain power iteration recovers the SLEM
-//! directly. Needs only O(n) memory — the fallback for graphs whose
-//! Lanczos basis would not fit — and serves as a cross-check on the
-//! Lanczos path in tests.
+//! directly. Needs only O(n) memory, as the Lanczos SLEM driver does,
+//! and serves as an independent cross-check on it.
 //!
 //! Convergence is geometric with ratio `|λ_second|/|λ_dominant|`;
 //! when λ₂ ≈ −λₙ (near-bipartite graphs) the *eigenvector* stalls,

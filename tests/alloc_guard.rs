@@ -1,11 +1,13 @@
-//! Allocation guard for the f64 Lanczos driver.
+//! Allocation guards for the f64 Lanczos drivers.
 //!
-//! A solve allocates one vector per step (the next basis vector), a
-//! few small vectors per convergence check, and a fixed set-up cost;
-//! everything else, in particular each Gram–Schmidt sweep, must reuse
-//! memory. An allocation per sweep once showed up as a change in heap
-//! layout that slowed the graph generation after each solve, so this
-//! test counts the calling thread's allocations around one solve.
+//! `lanczos_extreme` keeps no basis: past a fixed set-up cost, only
+//! its convergence checks allocate. `lanczos_topk` allocates one
+//! vector per step (the next basis vector), a few small vectors per
+//! check and its Ritz vectors at the end. Everything else, in
+//! particular each Gram–Schmidt sweep, must reuse memory. An
+//! allocation per sweep once showed up as a change in heap layout that
+//! slowed the graph generation after each solve, so these tests count
+//! the calling thread's allocations around one solve.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,8 +15,11 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use socmix::gen::ba::barabasi_albert;
-use socmix::linalg::tridiag::tridiag_eigen_last_row;
-use socmix::linalg::{lanczos_extreme, DeflatedOp, KernelConfig, LanczosOptions, SymmetricWalkOp};
+use socmix::graph::Graph;
+use socmix::linalg::tridiag::{tridiag_eigen, tridiag_eigen_last_row};
+use socmix::linalg::{
+    lanczos_extreme, lanczos_topk, DeflatedOp, KernelConfig, LanczosOptions, SymmetricWalkOp,
+};
 use socmix::par::Pool;
 
 thread_local! {
@@ -72,26 +77,60 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (r, ALLOCS.with(Cell::get) - before)
 }
 
-/// Allocations of the solve below outside its steps and checks: the
-/// random start vector and its folded copy, the per-thread scratch
-/// buffers of the two nested operator applies, and the growth of the
-/// basis, α and β vectors. Measured on the one-vector-at-a-time
-/// modified Gram–Schmidt driver that preceded the block sweep: 323
-/// allocations in 200 steps, 96 of them in the eight checks.
-const SETUP_ALLOCS: usize = 27;
+/// `lanczos_extreme`'s allocations outside its checks in the solve
+/// below: the random start vector and its folded copy, the per-thread
+/// scratch buffers of the two nested operator applies, the two other
+/// recurrence vectors, and the doubling growth of the α and β vectors.
+/// Measured: 117 allocations in 200 steps, 96 of them in the eight
+/// checks.
+const EXTREME_SETUP_ALLOCS: usize = 21;
+
+/// `lanczos_topk`'s allocations outside its steps, checks and final
+/// eigendecomposition in the solve below: the start vector and its
+/// folded copy, the operator scratch, the growth of the basis, α and β
+/// vectors, and the Ritz vector, values and residuals it returns.
+/// Measured: 530 allocations in 200 steps, 299 of them in the seven
+/// checks and the eigendecomposition.
+const TOPK_SETUP_ALLOCS: usize = 31;
+
+/// Convergence checks every this many steps in both solves.
+const CHECK_EVERY: usize = 25;
+
+/// The deflated walk operator of a 3,000-node BA graph on the serial
+/// pool and the blocked kernel. Debug events format a line per
+/// convergence check; the guards are about the solvers' own memory,
+/// so they pin the threshold rather than inheriting SOCMIX_LOG.
+fn graph() -> Graph {
+    socmix_obs::set_log_level(socmix_obs::Level::Warn);
+    barabasi_albert(3_000, 3, &mut StdRng::seed_from_u64(11))
+}
+
+fn deflated(g: &Graph) -> (SymmetricWalkOp<'_>, Vec<Vec<f64>>) {
+    let sop = SymmetricWalkOp::with_kernel(g, Pool::serial(), KernelConfig::blocked());
+    let top = vec![sop.top_eigenvector()];
+    (sop, top)
+}
+
+/// Allocations of `tridiag` at each of the tridiagonal sizes `sizes`,
+/// counted on this thread.
+fn tridiag_allocs<T>(sizes: &[usize], tridiag: fn(&[f64], &[f64]) -> T) -> usize {
+    sizes
+        .iter()
+        .map(|&k| {
+            let diag: Vec<f64> = (0..k).map(|i| i as f64 / k as f64).collect();
+            let off = vec![0.5; k - 1];
+            allocations(|| tridiag(&diag, &off)).1
+        })
+        .sum()
+}
 
 #[test]
-fn lanczos_allocates_once_per_step() {
-    // Debug events format a line per convergence check; the guard is
-    // about the solver's own memory, so it pins the threshold rather
-    // than inheriting SOCMIX_LOG.
-    socmix_obs::set_log_level(socmix_obs::Level::Warn);
-    let g = barabasi_albert(3_000, 3, &mut StdRng::seed_from_u64(11));
-    let sop = SymmetricWalkOp::with_kernel(&g, Pool::serial(), KernelConfig::blocked());
-    let top = vec![sop.top_eigenvector()];
+fn lanczos_extreme_allocates_nothing_per_step() {
+    let g = graph();
+    let (sop, top) = deflated(&g);
     let op = DeflatedOp::new(sop, &top);
     let opts = LanczosOptions {
-        check_every: 25,
+        check_every: CHECK_EVERY,
         ..LanczosOptions::default()
     };
     let (r, total) = allocations(|| lanczos_extreme(&op, opts, &mut StdRng::seed_from_u64(12)));
@@ -99,31 +138,50 @@ fn lanczos_allocates_once_per_step() {
     let steps = r.iterations;
     assert!(
         steps >= 100,
-        "only {steps} steps: too few to tell a per-sweep allocation"
+        "only {steps} steps: too few to tell an allocation per step"
     );
 
-    // the checks' own allocations: tridiag_eigen_last_row at each
-    // checked size (in-loop every `check_every` steps, or once at the
-    // end), counted on the same thread
-    let mut sizes: Vec<usize> = (opts.check_every..=steps)
-        .step_by(opts.check_every)
-        .collect();
-    if steps % opts.check_every != 0 {
+    // the checks: tridiag_eigen_last_row at each checked size
+    // (every `check_every` steps, and at the last step)
+    let mut sizes: Vec<usize> = (CHECK_EVERY..=steps).step_by(CHECK_EVERY).collect();
+    if steps % CHECK_EVERY != 0 {
         sizes.push(steps);
     }
-    let checks: usize = sizes
-        .iter()
-        .map(|&k| {
-            let diag: Vec<f64> = (0..k).map(|i| i as f64 / k as f64).collect();
-            let off = vec![0.5; k - 1];
-            allocations(|| tridiag_eigen_last_row(&diag, &off)).1
-        })
-        .sum();
+    let checks = tridiag_allocs(&sizes, tridiag_eigen_last_row);
 
-    let bound = steps + checks + SETUP_ALLOCS;
+    let bound = checks + EXTREME_SETUP_ALLOCS;
+    assert!(
+        total <= bound,
+        "{total} allocations in {steps} steps: more than {checks} for \
+         the checks + {EXTREME_SETUP_ALLOCS} set-up"
+    );
+}
+
+#[test]
+fn lanczos_allocates_once_per_step() {
+    // `lanczos_topk` with tol 0 runs exactly `max_iter` steps
+    let g = graph();
+    let (sop, top) = deflated(&g);
+    let op = DeflatedOp::new(sop, &top);
+    let steps = 200;
+    let opts = LanczosOptions {
+        max_iter: steps,
+        tol: 0.0,
+        check_every: CHECK_EVERY,
+    };
+    let (r, total) = allocations(|| lanczos_topk(&op, 1, opts, &mut StdRng::seed_from_u64(12)));
+    assert_eq!(r.iterations, steps);
+
+    // the in-loop checks stop before the last step, which builds the
+    // Ritz vectors from the full eigendecomposition instead
+    let sizes: Vec<usize> = (CHECK_EVERY..steps).step_by(CHECK_EVERY).collect();
+    let checks =
+        tridiag_allocs(&sizes, tridiag_eigen_last_row) + tridiag_allocs(&[steps], tridiag_eigen);
+
+    let bound = steps + checks + TOPK_SETUP_ALLOCS;
     assert!(
         total <= bound,
         "{total} allocations in {steps} steps: more than one per step \
-         + {checks} for the checks + {SETUP_ALLOCS} set-up"
+         + {checks} for the checks + {TOPK_SETUP_ALLOCS} set-up"
     );
 }

@@ -2,13 +2,17 @@
 //! `cargo test --release -- --ignored`).
 //!
 //! These verify that the pipeline holds up at the paper's actual
-//! sizes: million-node generation, O(n)-memory SLEM via the power
-//! backend, and the distribution-evolution step on 20M+ edges. They
-//! take minutes each, which is why they're opt-in.
+//! sizes: million-node generation, O(n)-memory SLEM via the
+//! basis-free Lanczos driver, and the distribution-evolution step on
+//! 20M+ edges. They take seconds to minutes each, which is why they're
+//! opt-in.
 
-use socmix::core::{MixingProbe, Slem};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use socmix::core::{MixingProbe, Slem, SlemMethod};
 use socmix::gen::Dataset;
 use socmix::graph::components;
+use socmix::linalg::{lanczos_topk, DeflatedOp, LanczosOptions, LinearOp, SymmetricWalkOp};
 
 /// Generate the full-size Youtube stand-in (1.13M nodes) and verify
 /// structural invariants.
@@ -27,14 +31,83 @@ fn full_scale_youtube_generation() {
     assert!(g.validate().is_ok());
 }
 
-/// SLEM of a million-node graph through the automatic backend (power
-/// iteration at this size — O(n) memory).
+/// SLEM of a million-node graph through the automatic backend
+/// (Lanczos without a stored basis — O(n) memory).
 #[test]
-#[ignore = "paper-scale: several minutes"]
+#[ignore = "paper-scale: about a minute"]
 fn full_scale_slem_youtube() {
     let g = Dataset::Youtube.generate(1.0, 7);
     let est = Slem::auto(&g).estimate().unwrap();
+    assert_eq!(est.method, SlemMethod::Lanczos);
+    assert!(
+        est.converged,
+        "not converged after {} steps",
+        est.iterations
+    );
     assert!(est.mu > 0.99 && est.mu < 1.0, "µ = {}", est.mu);
+}
+
+/// `-op`: its top eigenvalue is `-λ_min(op)`.
+struct Negated<'a, Op>(&'a Op);
+
+impl<Op: LinearOp> LinearOp for Negated<'_, Op> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        self.0.apply(x, y);
+        for yi in y {
+            *yi = -*yi;
+        }
+    }
+}
+
+/// The top eigenvalue of `op` from `lanczos_topk`, which must converge.
+fn top_value<Op: LinearOp>(op: &Op, opts: LanczosOptions, seed: u64) -> f64 {
+    let r = lanczos_topk(op, 1, opts, &mut StdRng::seed_from_u64(seed));
+    assert!(
+        r.residuals[0] < opts.tol,
+        "reference not converged after {} steps",
+        r.iterations
+    );
+    r.values[0]
+}
+
+/// µ of the 300k-node Facebook A stand-in, where power iteration
+/// stops unconverged, against the stored-basis reference: the top
+/// eigenvalue of the deflated operator and of its negation, each from
+/// `lanczos_topk` with its basis allowed to grow to 600 vectors
+/// (1.4 GB at most; λ₂ converges in about 220 steps, 0.53 GB).
+#[test]
+#[ignore = "paper-scale: ~20 s in release and ~0.6 GB"]
+fn full_scale_slem_facebook_a_300k() {
+    let g = Dataset::FacebookA.generate(0.3, 7);
+    assert_eq!(g.num_nodes(), 300_000);
+    let est = Slem::auto(&g).estimate().unwrap();
+    assert_eq!(est.method, SlemMethod::Lanczos);
+    assert!(
+        est.converged,
+        "not converged after {} steps",
+        est.iterations
+    );
+
+    let sop = SymmetricWalkOp::new(&g);
+    let top = vec![sop.top_eigenvector()];
+    let defl = DeflatedOp::new(sop, &top);
+    let opts = LanczosOptions {
+        max_iter: 600,
+        ..LanczosOptions::default()
+    };
+    let lambda2 = top_value(&defl, opts, 1);
+    let minus_lambda_n = top_value(&Negated(&defl), opts, 2);
+    let mu_ref = lambda2.max(minus_lambda_n);
+    assert!(
+        (est.mu - mu_ref).abs() <= 1e-10,
+        "µ {} vs stored-basis reference {mu_ref} (off by {:.3e})",
+        est.mu,
+        (est.mu - mu_ref).abs()
+    );
 }
 
 /// Distribution evolution on the 20M-edge Facebook A stand-in: one

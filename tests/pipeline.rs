@@ -86,6 +86,22 @@ fn slem_backends_agree_on_catalog() {
     }
 }
 
+/// The automatic backend converges on the 20k-node DBLP stand-in,
+/// whose solve takes more steps than the old 300-vector basis held.
+#[test]
+fn auto_slem_converges_on_dblp_standin() {
+    let ds = Dataset::Dblp;
+    let g = ds.generate(20_000.0 / ds.paper_nodes() as f64, 1);
+    let (lcc, _) = components::largest_component(&g);
+    let est = Slem::auto(&lcc).estimate().unwrap();
+    assert!(
+        est.converged,
+        "not converged after {} steps (µ {})",
+        est.iterations, est.mu
+    );
+    assert!(est.mu > 0.99 && est.mu < 1.0, "µ = {}", est.mu);
+}
+
 /// Exact evolution and the stationary distribution close the loop:
 /// evolving π is a fixpoint, and evolving anything else converges to
 /// π on a non-bipartite connected graph.

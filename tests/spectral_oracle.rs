@@ -3,7 +3,8 @@
 //! Each graph here has a random-walk spectrum known exactly, so the
 //! solver is checked against the truth rather than against another
 //! solver. The drivers run on the deflated symmetric walk operator,
-//! as `Slem::estimate` runs them, and must land within 1e-9.
+//! as `Slem::estimate` runs them, and must land within 1e-9 from each
+//! of three start seeds.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,21 +15,31 @@ use socmix::linalg::vecops::{dot, norm2};
 use socmix::linalg::{
     lanczos_extreme, lanczos_topk, DeflatedOp, LanczosOptions, LanczosResult, SymmetricWalkOp,
 };
+use std::f64::consts::PI;
 
 const TOL: f64 = 1e-9;
 
-/// Lanczos extremes of the walk operator with λ₁ = 1 deflated.
-fn deflated_extremes(g: &Graph, seed: u64) -> LanczosResult {
+/// Lanczos extremes of the walk operator with λ₁ = 1 deflated, from
+/// the start seeds `first_seed`, `first_seed + 1` and `first_seed + 2`.
+fn deflated_extremes(g: &Graph, first_seed: u64) -> Vec<LanczosResult> {
     let sop = SymmetricWalkOp::new(g);
     let basis = vec![sop.top_eigenvector()];
     let defl = DeflatedOp::new(sop, &basis);
-    let r = lanczos_extreme(
-        &defl,
-        LanczosOptions::default(),
-        &mut StdRng::seed_from_u64(seed),
-    );
-    assert!(r.converged, "not converged after {} steps", r.iterations);
-    r
+    (first_seed..first_seed + 3)
+        .map(|seed| {
+            let r = lanczos_extreme(
+                &defl,
+                LanczosOptions::default(),
+                &mut StdRng::seed_from_u64(seed),
+            );
+            assert!(
+                r.converged,
+                "seed {seed}: not converged after {} steps",
+                r.iterations
+            );
+            r
+        })
+        .collect()
 }
 
 fn assert_close(what: &str, got: f64, want: f64) {
@@ -55,55 +66,72 @@ fn hypercube(d: u32) -> Graph {
 
 #[test]
 fn odd_cycle_slem_is_cos_pi_over_n() {
-    // C₉: λ_k = cos(2πk/9); the most negative, −cos(π/9), sets µ
-    let r = deflated_extremes(&cycle(9), 1);
-    assert_close(
-        "C9 µ",
-        r.top.max(-r.bottom),
-        (std::f64::consts::PI / 9.0).cos(),
-    );
+    // C_n, n odd: λ_k = cos(2πk/n); the most negative, −cos(π/n),
+    // sets µ
+    for (seed, n) in [(1, 9), (11, 201)] {
+        for r in deflated_extremes(&cycle(n), seed) {
+            let nf = n as f64;
+            assert_close(&format!("C{n} top"), r.top, (2.0 * PI / nf).cos());
+            assert_close(&format!("C{n} bottom"), r.bottom, -(PI / nf).cos());
+            assert_close(&format!("C{n} µ"), r.top.max(-r.bottom), (PI / nf).cos());
+        }
+    }
+}
+
+#[test]
+fn even_cycle_extremes() {
+    // C₂₀₀: λ_k = cos(2πk/200); bipartite, so the bottom is −1
+    for r in deflated_extremes(&cycle(200), 14) {
+        assert_close("C200 top", r.top, (2.0 * PI / 200.0).cos());
+        assert_close("C200 bottom", r.bottom, -1.0);
+    }
 }
 
 #[test]
 fn hypercube_q6_extremes() {
-    // Q₆: λ = 1 − 2k/6, k = 0..6; deflating k = 0 leaves 2/3 on top
-    // and −1 (bipartite) at the bottom
-    let r = deflated_extremes(&hypercube(6), 2);
-    assert_close("Q6 top", r.top, 2.0 / 3.0);
-    assert_close("Q6 bottom", r.bottom, -1.0);
+    // Q_d: λ = 1 − 2k/d, k = 0..d; deflating k = 0 leaves 1 − 2/d on
+    // top and −1 (bipartite) at the bottom; Q₆ and Q₁₀
+    for (seed, d) in [(2, 6), (17, 10)] {
+        for r in deflated_extremes(&hypercube(d), seed) {
+            assert_close(&format!("Q{d} top"), r.top, 1.0 - 2.0 / f64::from(d));
+            assert_close(&format!("Q{d} bottom"), r.bottom, -1.0);
+        }
+    }
 }
 
 #[test]
 fn petersen_extremes() {
     // adjacency spectrum {3, 1⁵, (−2)⁴}, so the walk's is {1, 1/3, −2/3}
-    let r = deflated_extremes(&petersen(), 3);
-    assert_close("Petersen top", r.top, 1.0 / 3.0);
-    assert_close("Petersen bottom", r.bottom, -2.0 / 3.0);
+    for r in deflated_extremes(&petersen(), 3) {
+        assert_close("Petersen top", r.top, 1.0 / 3.0);
+        assert_close("Petersen bottom", r.bottom, -2.0 / 3.0);
+    }
 }
 
 #[test]
 fn complete_bipartite_bottom_is_minus_one() {
-    // K₃,₃: walk spectrum {1, 0⁴, −1}
-    let r = deflated_extremes(&complete_bipartite(3, 3), 4);
-    assert_close("K3,3 bottom", r.bottom, -1.0);
+    // K₃,₃: walk spectrum {1, 0⁴, −1}. The one-apply start fold drops
+    // the start's eigenvalue-0 part, so only the bottom is checked.
+    for r in deflated_extremes(&complete_bipartite(3, 3), 4) {
+        assert_close("K3,3 bottom", r.bottom, -1.0);
+    }
 }
 
-/// Sizes for the families below. On the path the deflated Krylov
-/// basis grows to n − 1 vectors: fewer than one eight-vector
-/// Gram–Schmidt block (5), exactly one block (9) and a block plus
-/// leftovers (13). No size is a multiple of 8, so every pass over a
-/// vector ends in a scalar tail.
-const SMALL_SIZES: [usize; 3] = [5, 9, 13];
+/// Sizes for the families below: three where the deflated Krylov
+/// space runs out within a check or two, and one where it takes
+/// about a hundred steps.
+const SIZES: [usize; 4] = [5, 9, 13, 100];
 
 #[test]
 fn complete_graph_deflates_to_one_eigenvalue() {
     // K_n: walk spectrum {1, (−1/(n−1))^(n−1)}, so the deflated
     // operator is −1/(n−1) times the identity on its range
-    for (seed, n) in (5..).zip(SMALL_SIZES) {
-        let r = deflated_extremes(&complete(n), seed);
-        let want = -1.0 / (n - 1) as f64;
-        assert_close(&format!("K{n} top"), r.top, want);
-        assert_close(&format!("K{n} bottom"), r.bottom, want);
+    for (seed, n) in (20..).step_by(3).zip(SIZES) {
+        for r in deflated_extremes(&complete(n), seed) {
+            let want = -1.0 / (n - 1) as f64;
+            assert_close(&format!("K{n} top"), r.top, want);
+            assert_close(&format!("K{n} bottom"), r.bottom, want);
+        }
     }
 }
 
@@ -111,11 +139,12 @@ fn complete_graph_deflates_to_one_eigenvalue() {
 fn path_extremes_are_cos_pi_over_n_minus_one_and_minus_one() {
     // P_n: walk eigenvalues cos(πk/(n−1)), k = 0..n−1; bipartite, so
     // the bottom is −1
-    for (seed, n) in (8..).zip(SMALL_SIZES) {
-        let r = deflated_extremes(&path(n), seed);
-        let top = (std::f64::consts::PI / (n - 1) as f64).cos();
-        assert_close(&format!("P{n} top"), r.top, top);
-        assert_close(&format!("P{n} bottom"), r.bottom, -1.0);
+    for (seed, n) in (40..).step_by(3).zip(SIZES) {
+        for r in deflated_extremes(&path(n), seed) {
+            let top = (PI / (n - 1) as f64).cos();
+            assert_close(&format!("P{n} top"), r.top, top);
+            assert_close(&format!("P{n} bottom"), r.bottom, -1.0);
+        }
     }
 }
 
