@@ -4,9 +4,13 @@
 //!
 //! Hand-rolled like `shard.rs` so the variants interleave: each round
 //! times every (dispatch, concurrency) cell once over real TCP against
-//! two in-process servers sharing one graph cache — one with the
-//! coalescing window on, one with `batch_window = 0` — so clock drift
-//! and cache state land on every variant equally. Clients are
+//! two in-process servers sharing one graph cache — one batching, one
+//! with `batch_max = 1` — so clock drift and cache state land on every
+//! variant equally. Batching has no timer: a probe that finds no batch
+//! of its key computing computes at once, and probes arriving during
+//! a compute form the next batch. Closed-loop clients whose requests
+//! arrive together are its worst case, since the first arrival
+//! computes alone and the rest wait for it. Clients are
 //! closed-loop (each keeps exactly one request in flight over a
 //! keep-alive connection), so QPS here is throughput at saturation,
 //! not an open-loop arrival rate. Latency quantiles (p50/p95/p99) ride
@@ -204,12 +208,12 @@ fn main() {
         threads: 4,
         ..ServeConfig::default()
     };
-    // Two servers over one cache: the only difference is the window.
+    // Two servers over one cache: the only difference is batch_max.
     let batched =
         Server::start(ServeConfig { ..base.clone() }, &cache_dir).expect("start batched server");
     let per_req = Server::start(
         ServeConfig {
-            batch_window: std::time::Duration::ZERO,
+            batch_max: 1,
             ..base.clone()
         },
         &cache_dir,

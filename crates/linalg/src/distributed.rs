@@ -30,6 +30,7 @@
 //! The cross-shard determinism tests assert this equality on the whole
 //! fixture catalog.
 
+use crate::kernel::gather_row_multi;
 use crate::multivec::MultiLinearOp;
 use crate::op::LinearOp;
 use crate::workspace::with_scratch;
@@ -450,15 +451,13 @@ fn local_apply_multi(
     let targets = graph.raw_targets();
     for j in 0..n {
         let yr = &mut ys[j * stride..j * stride + width];
-        yr.fill(0.0);
-        for &i in &targets[offsets[j]..offsets[j + 1]] {
-            let i = i as usize;
-            let d = inv_scale[i];
-            let xr = &xs[i * stride..i * stride + width];
-            for (yc, &xc) in yr.iter_mut().zip(xr) {
-                *yc += xc * d;
-            }
-        }
+        gather_row_multi(
+            &targets[offsets[j]..offsets[j + 1]],
+            inv_scale,
+            xs,
+            stride,
+            yr,
+        );
         if finisher == Finisher::Symmetric {
             let fin = inv_scale[j];
             for yc in yr.iter_mut() {
@@ -682,6 +681,67 @@ mod tests {
                         ys[i * width + c].to_bits(),
                         w.to_bits(),
                         "col {c} row {i} symmetric={symmetric}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_gather_width_sweep_matches_apply() {
+        // Every column-block split of the register-accumulating gather
+        // (8, 4, 2, 1 and their mixes), with an active width below the
+        // stride, must reproduce the width-1 kernel bit for bit, both
+        // in `WalkOp`'s pool-chunked path and in the local fallback.
+        use crate::kernel::KernelConfig;
+        use crate::multivec::MultiLinearOp;
+        use crate::op::WalkOp;
+        use rand::SeedableRng;
+        use socmix_par::Pool;
+        let g = socmix_gen::ba::barabasi_albert(600, 3, &mut rand::rngs::StdRng::seed_from_u64(17));
+        let n = g.num_nodes();
+        let serial = WalkOp::with_kernel(&g, Pool::serial(), KernelConfig::scalar());
+        for width in [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17] {
+            let stride = width + 2;
+            let xs: Vec<f64> = (0..n * stride)
+                .map(|k| ((k * 2_654_435_761) % 1999) as f64 / 997.0 - 1.0)
+                .collect();
+            let want: Vec<Vec<f64>> = (0..width)
+                .map(|c| serial.apply_vec(&(0..n).map(|i| xs[i * stride + c]).collect::<Vec<_>>()))
+                .collect();
+            // NaN poison: the inactive columns must come back untouched.
+            let mut local = vec![f64::NAN; n * stride];
+            local_apply_multi(
+                &g,
+                serial.inv_degrees(),
+                Finisher::Walk,
+                &xs,
+                &mut local,
+                stride,
+                width,
+            );
+            let mut outs = vec![("local fallback".to_string(), local)];
+            for threads in [1, 2] {
+                let op =
+                    WalkOp::with_kernel(&g, Pool::with_threads(threads), KernelConfig::scalar());
+                let mut ys = vec![f64::NAN; n * stride];
+                op.apply_multi_raw(&xs, &mut ys, stride, width);
+                outs.push((format!("pool {threads}"), ys));
+            }
+            for (what, ys) in &outs {
+                for i in 0..n {
+                    for (c, col) in want.iter().enumerate() {
+                        assert_eq!(
+                            ys[i * stride + c].to_bits(),
+                            col[i].to_bits(),
+                            "{what}: width {width}, row {i}, column {c}"
+                        );
+                    }
+                    assert!(
+                        ys[i * stride + width..(i + 1) * stride]
+                            .iter()
+                            .all(|v| v.is_nan()),
+                        "{what}: width {width} wrote past its active columns in row {i}"
                     );
                 }
             }

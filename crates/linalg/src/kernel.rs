@@ -330,6 +330,64 @@ pub(crate) fn gather_rows_f32(
     }
 }
 
+/// Scalar batched gather of one output row: `y[c] = Σ_i x[i, c] · inv[i]`
+/// over `nbrs` (the row's ascending adjacency) for every column
+/// `c < y.len()`, where row `i` of the block starts at `xs[i * stride]`.
+///
+/// The columns go in blocks of 8, then 4, 2 and 1, and each block
+/// accumulates in registers over the whole adjacency list before one
+/// store. Per column the operation sequence is the serial kernel's
+/// (`acc = 0`, then `acc += x·inv` per neighbour in ascending order, a
+/// rounded multiply and then an add, never fused), so every column is
+/// bit-for-bit equal to [`crate::LinearOp::apply`].
+pub(crate) fn gather_row_multi(
+    nbrs: &[u32],
+    inv: &[f64],
+    xs: &[f64],
+    stride: usize,
+    y: &mut [f64],
+) {
+    let mut c = 0;
+    while y.len() - c >= 8 {
+        gather_cols::<8>(nbrs, inv, xs, stride, c, &mut y[c..c + 8]);
+        c += 8;
+    }
+    if y.len() - c >= 4 {
+        gather_cols::<4>(nbrs, inv, xs, stride, c, &mut y[c..c + 4]);
+        c += 4;
+    }
+    if y.len() - c >= 2 {
+        gather_cols::<2>(nbrs, inv, xs, stride, c, &mut y[c..c + 2]);
+        c += 2;
+    }
+    if y.len() > c {
+        gather_cols::<1>(nbrs, inv, xs, stride, c, &mut y[c..]);
+    }
+}
+
+/// One `B`-column block of [`gather_row_multi`], starting at column
+/// `col`.
+#[inline(always)]
+fn gather_cols<const B: usize>(
+    nbrs: &[u32],
+    inv: &[f64],
+    xs: &[f64],
+    stride: usize,
+    col: usize,
+    y: &mut [f64],
+) {
+    let mut acc = [0.0f64; B];
+    for &i in nbrs {
+        let i = i as usize;
+        let d = inv[i];
+        let xr = &xs[i * stride + col..i * stride + col + B];
+        for (a, &x) in acc.iter_mut().zip(xr) {
+            *a += x * d;
+        }
+    }
+    y.copy_from_slice(&acc);
+}
+
 /// Blocked batched gather for [`crate::multivec`]: per row `j` of
 /// `rows`, accumulates `Σ_i x[i, c] · inv[i]` over the row's sorted
 /// adjacency into `y[(j - rows.start) · stride + c]` for every active

@@ -206,18 +206,13 @@ impl MultiLinearOp for WalkOp<'_> {
                         let yr = unsafe {
                             std::slice::from_raw_parts_mut(ypref.0.add(j * stride), width)
                         };
-                        yr.fill(0.0);
-                        for &i in &targets[offsets[j]..offsets[j + 1]] {
-                            let i = i as usize;
-                            let d = inv_deg[i];
-                            let xr = &xs[i * stride..i * stride + width];
-                            // Per column: y[j,c] += x[i,c] * (1/deg i) —
-                            // the exact two-op sequence of the serial
-                            // kernel (z = x·inv rounded, accumulate).
-                            for c in 0..width {
-                                yr[c] += xr[c] * d;
-                            }
-                        }
+                        kernel::gather_row_multi(
+                            &targets[offsets[j]..offsets[j + 1]],
+                            inv_deg,
+                            xs,
+                            stride,
+                            yr,
+                        );
                     }
                 });
             }

@@ -3,7 +3,7 @@
 //! ```text
 //! socmix-serve [--addr A] [--frame-addr A] [--cache-dir D]
 //!              [--preload GRAPH:SCALE:SEED]... [--threads N] [--queue N]
-//!              [--deadline-ms N] [--batch-window-us N] [--batch-max N]
+//!              [--deadline-ms N] [--batch-max N]
 //! ```
 //!
 //! Every flag has a `SOCMIX_SERVE_*` environment twin (flags win);
@@ -19,7 +19,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: socmix-serve [--addr A] [--frame-addr A] [--cache-dir D]\n\
          \x20                   [--preload GRAPH:SCALE:SEED]... [--threads N] [--queue N]\n\
-         \x20                   [--deadline-ms N] [--batch-window-us N] [--batch-max N]"
+         \x20                   [--deadline-ms N] [--batch-max N]"
     );
     std::process::exit(2);
 }
@@ -54,13 +54,6 @@ fn main() {
                     &value("--deadline-ms"),
                     "--deadline-ms",
                     1,
-                ) as u64)
-            }
-            "--batch-window-us" => {
-                cfg.batch_window = std::time::Duration::from_micros(parse_num(
-                    &value("--batch-window-us"),
-                    "--batch-window-us",
-                    0,
                 ) as u64)
             }
             "--batch-max" => cfg.batch_max = parse_num(&value("--batch-max"), "--batch-max", 1),
@@ -110,11 +103,10 @@ fn main() {
         println!("frame protocol listening on {fa}");
     }
     println!(
-        "{} workers, queue {}, deadline {}ms, batch window {}us (max {})",
+        "{} workers, queue {}, deadline {}ms, batch max {}",
         cfg.threads,
         cfg.queue,
         cfg.deadline.as_millis(),
-        cfg.batch_window.as_micros(),
         cfg.batch_max
     );
 

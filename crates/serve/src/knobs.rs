@@ -15,8 +15,7 @@
 //! | `SOCMIX_SERVE_THREADS`        | Connection-serving worker threads          | cores, min 4     |
 //! | `SOCMIX_SERVE_QUEUE`          | Bounded accept-queue capacity              | `64`             |
 //! | `SOCMIX_SERVE_DEADLINE_MS`    | Per-request deadline before shedding       | `2000`           |
-//! | `SOCMIX_SERVE_BATCH_WINDOW_US`| Coalescing window for probe queries (0=off)| `500`            |
-//! | `SOCMIX_SERVE_BATCH_MAX`      | Max coalesced queries per batch            | `64`             |
+//! | `SOCMIX_SERVE_BATCH_MAX`      | Max queries per batch (1=per-request)      | `64`             |
 
 use std::time::Duration;
 
@@ -39,10 +38,12 @@ pub struct ServeConfig {
     /// computed. Requests that age out in the queue or inside a batch
     /// wait are shed.
     pub deadline: Duration,
-    /// How long the first query of a batch waits for others to
-    /// coalesce before computing. Zero = per-request dispatch.
+    /// Unused, and zero by default: batching has no timer (see
+    /// [`crate::batch`]). The field remains for callers that still
+    /// read it.
     pub batch_window: Duration,
-    /// Maximum queries coalesced into one batch.
+    /// Maximum queries coalesced into one batch; 1 = per-request
+    /// dispatch.
     pub batch_max: usize,
 }
 
@@ -57,7 +58,7 @@ impl Default for ServeConfig {
                 .max(4),
             queue: 64,
             deadline: Duration::from_millis(2000),
-            batch_window: Duration::from_micros(500),
+            batch_window: Duration::ZERO,
             batch_max: 64,
         }
     }
@@ -95,14 +96,6 @@ impl ServeConfig {
             std::env::var("SOCMIX_SERVE_DEADLINE_MS").ok().as_deref(),
             cfg.deadline.as_millis() as usize,
             1,
-        ) as u64);
-        cfg.batch_window = Duration::from_micros(parsed_or(
-            "SOCMIX_SERVE_BATCH_WINDOW_US",
-            std::env::var("SOCMIX_SERVE_BATCH_WINDOW_US")
-                .ok()
-                .as_deref(),
-            cfg.batch_window.as_micros() as usize,
-            0,
         ) as u64);
         cfg.batch_max = parsed_or(
             "SOCMIX_SERVE_BATCH_MAX",

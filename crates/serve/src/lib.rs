@@ -28,9 +28,11 @@
 //!
 //! Concurrent escape probes against the same (graph, `w`) coalesce
 //! into one [`socmix_linalg::MultiLinearOp::apply_multi`] batch
-//! ([`batch`]) — the batched kernel's exactness contract makes the
-//! coalesced answers bit-identical to per-request dispatch, so
-//! batching is purely a throughput lever (`SOCMIX_SERVE_BATCH_WINDOW_US=0`
+//! ([`batch`]). Batching is natural, with no timer: a lone probe
+//! computes at once, and probes that arrive while a batch computes
+//! form the next one. The batched kernel's exactness contract makes
+//! the coalesced answers bit-identical to per-request dispatch, so
+//! batching is purely a throughput lever (`SOCMIX_SERVE_BATCH_MAX=1`
 //! turns it off). `/mix` answers cache by content-hash key
 //! ([`cache`]). Overload is explicit: a bounded accept queue sheds at
 //! the door with a typed 503 (`serve.shed`), and requests that age

@@ -60,6 +60,23 @@ pub fn mix(lg: &LoadedGraph, eps: f64, pool: Pool) -> Result<String, String> {
     Ok(Value::Obj(obj).to_compact())
 }
 
+/// Checks escape-probe arguments: `w` in `1..=10000` and every node
+/// honest. The server checks each query before it joins a batch, so
+/// one bad node fails only its own query, never the batch it would
+/// have shared.
+pub fn check_escape(lg: &LoadedGraph, nodes: &[u64], w: usize) -> Result<(), String> {
+    if w == 0 || w > 10_000 {
+        return Err(format!("w must be in 1..=10000, got {w}"));
+    }
+    let honest = lg.attacked.honest;
+    match nodes.iter().find(|&&node| node as usize >= honest) {
+        Some(node) => Err(format!(
+            "node {node} is not an honest node (honest ids are 0..{honest})"
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Exact escape-probe batch: for each start node, the probability that
 /// a `w`-step walk from it ends inside the Sybil region (non-
 /// absorbing; the "is inside at step w" event, one column of mass
@@ -76,19 +93,9 @@ pub fn escape_batch(
     w: usize,
     pool: Pool,
 ) -> Result<Vec<f64>, String> {
+    check_escape(lg, nodes, w)?;
     let attacked = &lg.attacked;
     let n = attacked.graph.num_nodes();
-    if w == 0 || w > 10_000 {
-        return Err(format!("w must be in 1..=10000, got {w}"));
-    }
-    for &node in nodes {
-        if node as usize >= attacked.honest {
-            return Err(format!(
-                "node {node} is not an honest node (honest ids are 0..{})",
-                attacked.honest
-            ));
-        }
-    }
     let _span = Span::start(&ESCAPE_NS);
     let width = nodes.len();
     let mut x = MultiVec::zeros(n, width);

@@ -284,6 +284,9 @@ pub(crate) fn dispatch(
                 Ok(v) => v as usize,
                 Err(e) => return ApiResponse::error(400, &e),
             };
+            if let Err(e) = queries::check_escape(&lg, &[node], w) {
+                return ApiResponse::error(400, &e);
+            }
             let batch_key = answer_key(&[lg.key, w as u64, CLASS_ESCAPE]);
             let pool = shared.pool;
             let result = shared.batcher.run(batch_key, node, deadline, |nodes| {
@@ -462,7 +465,7 @@ impl Server {
         let shared = Arc::new(Shared {
             catalog: Catalog::at(cache_dir),
             answers: AnswerCache::new(DEFAULT_CAP),
-            batcher: Batcher::new(cfg.batch_window, cfg.batch_max),
+            batcher: Batcher::new(Duration::ZERO, cfg.batch_max),
             pool: Pool::new(),
             cfg,
         });
@@ -683,4 +686,71 @@ fn respond(shared: &Shared, req: &Request, deadline: Instant) -> ApiResponse {
         &req.body,
         deadline,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn invalid_escape_fails_alone_beside_a_queued_valid_one() {
+        let dir =
+            std::env::temp_dir().join(format!("socmix-serve-dispatch-{}", std::process::id()));
+        let shared = Shared {
+            cfg: ServeConfig::default(),
+            catalog: Catalog::at(&dir),
+            answers: AnswerCache::new(DEFAULT_CAP),
+            batcher: Batcher::new(Duration::ZERO, 64),
+            pool: Pool::serial(),
+        };
+        let lg = shared
+            .catalog
+            .load("wiki-vote", 0.02, 3)
+            .expect("tiny graph");
+        let w = 8;
+        let key = answer_key(&[lg.key, w as u64, CLASS_ESCAPE]);
+        let far = Instant::now() + Duration::from_secs(30);
+        let query = |node: u64| {
+            vec![
+                ("graph".to_string(), "wiki-vote".to_string()),
+                ("node".to_string(), node.to_string()),
+                ("w".to_string(), w.to_string()),
+            ]
+        };
+        std::thread::scope(|s| {
+            // Made inside the scope so that a failed assertion drops
+            // `release` and unblocks the compute instead of hanging.
+            let (started_tx, started) = mpsc::channel();
+            let (release, released) = mpsc::channel::<()>();
+            // A compute held open on the key, so later queries queue
+            // into one next batch.
+            let shared = &shared;
+            let blocker = s.spawn(move || {
+                shared.batcher.run(key, 1, far, |items| {
+                    started_tx.send(()).unwrap();
+                    released.recv().unwrap();
+                    Ok(vec![0.0; items.len()])
+                })
+            });
+            started.recv().unwrap();
+            let valid = s.spawn(|| dispatch(shared, "GET", "/escape", &query(0), b"", far));
+            while shared.batcher.queued(key) < 1 {
+                std::thread::yield_now();
+            }
+            // Answered at once, before the batch it would have joined
+            // runs, with its own node in the message.
+            let bad = dispatch(shared, "GET", "/escape", &query(999_999), b"", far);
+            assert_eq!(bad.status, 400, "{}", bad.body);
+            assert!(bad.body.contains("node 999999 "), "{}", bad.body);
+            assert_eq!(shared.batcher.queued(key), 1, "the bad query never queued");
+            release.send(()).unwrap();
+            let valid = valid.join().unwrap();
+            let solo = queries::escape_batch(&lg, &[0], w, Pool::serial()).unwrap()[0];
+            assert_eq!(valid.status, 200, "{}", valid.body);
+            assert_eq!(valid.body, queries::render_escape(&lg, 0, w, solo));
+            assert!(matches!(blocker.join().unwrap(), BatchResult::Value(_)));
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
