@@ -2,14 +2,14 @@
 //! on the matvec loop that dominates every estimator — 120 walk
 //! applications on a 100k-node graph, A/B interleaved.
 //!
-//! Hand-rolled like `kernels.rs` so the variants can be interleaved:
-//! each round times the shared-memory operator, then the 1-, 2-, and
-//! 4-shard process groups once, so clock drift and cache state land on
-//! every variant equally. Worker groups are spawned and loaded
+//! Hand-rolled so the variants can be interleaved: each round times
+//! the shared-memory operator, then the 1-, 2-, and 4-shard process
+//! groups once, so clock drift and cache state land on every variant
+//! equally. Worker groups are spawned and loaded
 //! **outside** the timed region — the bench measures the steady-state
 //! exchange rounds, not process startup. Statistics across rounds go
 //! to `BENCH_shard.json` (override with `SOCMIX_BENCH_JSON`) in the
-//! same record format as `BENCH_kernels.json`.
+//! same record format as the criterion stub's `BENCH_*.json`.
 
 use std::io::Write as _;
 use std::time::Instant;

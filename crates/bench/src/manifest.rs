@@ -112,7 +112,6 @@ pub fn run_manifest(
             Value::Obj(vec![
                 ("SOCMIX_THREADS".into(), env_knob("SOCMIX_THREADS")),
                 ("SOCMIX_SHARDS".into(), env_knob("SOCMIX_SHARDS")),
-                ("SOCMIX_KERNEL".into(), env_knob("SOCMIX_KERNEL")),
                 ("SOCMIX_BLOCK".into(), env_knob("SOCMIX_BLOCK")),
                 ("SOCMIX_LOG".into(), env_knob("SOCMIX_LOG")),
                 ("SOCMIX_TRACE".into(), env_knob("SOCMIX_TRACE")),
@@ -326,7 +325,7 @@ mod tests {
         let m = sample_manifest();
         let env = m.get("env").unwrap();
         assert!(env.get("SOCMIX_SHARDS").is_some());
-        assert!(env.get("SOCMIX_KERNEL").is_some());
+        assert!(env.get("SOCMIX_BLOCK").is_some());
         let workers = m.get("shard_workers").unwrap().as_arr().unwrap();
         assert_eq!(workers.len(), 1);
         assert_eq!(workers[0].get("group").unwrap().as_i64(), Some(2));

@@ -3,42 +3,25 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use socmix_graph::Graph;
-use socmix_linalg::power::{spectral_radius_in_complement, spectral_radius_in_complement_mixed};
+use socmix_linalg::power::spectral_radius_in_complement;
 use socmix_linalg::{
-    dense, lanczos_extreme, lanczos_extreme_mixed, DeflatedOp, DeflatedOpF32, KernelConfig,
-    KernelKind, LanczosOptions, PowerOptions, SymmetricWalkOp, SymmetricWalkOpF32,
+    dense, lanczos_extreme, DeflatedOp, LanczosOptions, PowerOptions, SymmetricWalkOp,
 };
 use socmix_markov::ergodicity;
-use socmix_obs::{obs_info, Counter};
 use socmix_par::Pool;
-
-/// `Auto` runs resolved to the Lanczos backend.
-static AUTO_LANCZOS: Counter = Counter::new("core.slem.auto_lanczos");
-/// `Auto` runs resolved to power iteration (the f32 kernel, n > 200k).
-static AUTO_POWER: Counter = Counter::new("core.slem.auto_power");
-
-/// Largest graph `Auto` hands to Lanczos on the f32 kernel, whose
-/// mixed-precision driver stores its basis.
-const MIXED_LANCZOS_MAX_NODES: usize = 200_000;
 
 /// Which eigensolver backend computes µ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlemMethod {
     /// Lanczos on the deflated symmetric walk operator — the
-    /// production path. On the f64 kernels it keeps no basis, so its
-    /// memory is O(n) at every size; on the f32 kernel the
-    /// mixed-precision driver stores an f32 basis of at most 300
-    /// vectors.
+    /// production path. It keeps no basis, so its memory is O(n) at
+    /// every size.
     Lanczos,
     /// Power iteration on the deflated operator — O(n) memory, the
-    /// independent cross-check, and `Auto`'s choice for large graphs
-    /// on the f32 kernel.
+    /// independent cross-check.
     PowerIteration,
     /// Dense Jacobi — ground truth, O(n²) memory; only for n ≲ 512.
     Dense,
-    /// Lanczos at every size on the f64 kernels. On the f32 kernel,
-    /// Lanczos up to 200k nodes and power iteration beyond.
-    Auto,
 }
 
 /// A SLEM estimate with its provenance.
@@ -107,12 +90,10 @@ pub struct Slem<'g> {
     lanczos_opts: LanczosOptions,
     power_opts: PowerOptions,
     pool: Pool,
-    kernel: KernelConfig,
 }
 
 impl<'g> Slem<'g> {
-    /// Estimator with the given backend. The matvec kernel defaults to
-    /// the `SOCMIX_KERNEL` environment knob (scalar when unset).
+    /// Estimator with the given backend.
     pub fn new(graph: &'g Graph, method: SlemMethod) -> Self {
         Slem {
             graph,
@@ -121,7 +102,6 @@ impl<'g> Slem<'g> {
             lanczos_opts: LanczosOptions::default(),
             power_opts: PowerOptions::default(),
             pool: Pool::new(),
-            kernel: KernelConfig::from_env(),
         }
     }
 
@@ -140,9 +120,11 @@ impl<'g> Slem<'g> {
         Self::new(graph, SlemMethod::Dense)
     }
 
-    /// Automatic backend selection.
+    /// The default backend: the same estimator as [`Slem::lanczos`]
+    /// (its answer reports [`SlemMethod::Lanczos`]), which converges at
+    /// every graph size in O(n) memory.
     pub fn auto(graph: &'g Graph) -> Self {
-        Self::new(graph, SlemMethod::Auto)
+        Self::lanczos(graph)
     }
 
     /// Sets the RNG seed for the iterative backends.
@@ -172,17 +154,6 @@ impl<'g> Slem<'g> {
         self
     }
 
-    /// Overrides the matvec kernel (default: the `SOCMIX_KERNEL`
-    /// environment knob). `Scalar` and `Blocked` produce bit-for-bit
-    /// identical estimates; `F32` routes the iterative backends
-    /// through the mixed-precision drivers, whose final f64 Rayleigh
-    /// polish keeps `|µ_f32 − µ_f64| ≤ 1e-6`. The dense backend
-    /// ignores the kernel.
-    pub fn kernel(mut self, kernel: KernelConfig) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Computes the SLEM.
     ///
     /// Rejects disconnected graphs: the paper always extracts the
@@ -197,25 +168,8 @@ impl<'g> Slem<'g> {
         if !erg.connected {
             return Err(SlemError::Disconnected);
         }
-        let method = match self.method {
-            SlemMethod::Auto => {
-                let chosen = auto_backend(g.num_nodes(), self.kernel.kind);
-                if chosen == SlemMethod::Lanczos {
-                    AUTO_LANCZOS.incr();
-                } else {
-                    AUTO_POWER.incr();
-                }
-                obs_info!(
-                    "core.slem",
-                    "auto backend for n={}: {chosen:?}",
-                    g.num_nodes()
-                );
-                chosen
-            }
-            m => m,
-        };
         let mut rng = StdRng::seed_from_u64(self.seed);
-        Ok(match method {
+        Ok(match self.method {
             SlemMethod::Dense => {
                 let s = dense::DenseMatrix::symmetric_walk_matrix(g);
                 let (vals, _) = dense::jacobi_eigen(&s);
@@ -230,17 +184,10 @@ impl<'g> Slem<'g> {
                 }
             }
             SlemMethod::Lanczos => {
-                let sop = SymmetricWalkOp::with_kernel(g, self.pool, self.kernel);
+                let sop = SymmetricWalkOp::with_pool(g, self.pool);
                 let basis = vec![sop.top_eigenvector()];
                 let defl = DeflatedOp::new(sop, &basis);
-                let r = if self.kernel.kind == KernelKind::F32 {
-                    let sop32 = SymmetricWalkOpF32::with_kernel(g, self.pool, self.kernel);
-                    let basis32 = vec![sop32.top_eigenvector32()];
-                    let defl32 = DeflatedOpF32::new(sop32, &basis32);
-                    lanczos_extreme_mixed(&defl, &defl32, self.lanczos_opts, &mut rng)
-                } else {
-                    lanczos_extreme(&defl, self.lanczos_opts, &mut rng)
-                };
+                let r = lanczos_extreme(&defl, self.lanczos_opts, &mut rng);
                 SlemEstimate {
                     mu: r.top.max(-r.bottom).clamp(0.0, 1.0),
                     lambda2: Some(r.top),
@@ -251,17 +198,10 @@ impl<'g> Slem<'g> {
                 }
             }
             SlemMethod::PowerIteration => {
-                let sop = SymmetricWalkOp::with_kernel(g, self.pool, self.kernel);
+                let sop = SymmetricWalkOp::with_pool(g, self.pool);
                 let basis = vec![sop.top_eigenvector()];
                 let defl = DeflatedOp::new(sop, &basis);
-                let mu = if self.kernel.kind == KernelKind::F32 {
-                    let sop32 = SymmetricWalkOpF32::with_kernel(g, self.pool, self.kernel);
-                    let basis32 = vec![sop32.top_eigenvector32()];
-                    let defl32 = DeflatedOpF32::new(sop32, &basis32);
-                    spectral_radius_in_complement_mixed(&defl, &defl32, self.power_opts, &mut rng)
-                } else {
-                    spectral_radius_in_complement(&defl, self.power_opts, &mut rng)
-                };
+                let mu = spectral_radius_in_complement(&defl, self.power_opts, &mut rng);
                 SlemEstimate {
                     mu: mu.radius.clamp(0.0, 1.0),
                     lambda2: None,
@@ -271,17 +211,7 @@ impl<'g> Slem<'g> {
                     iterations: mu.iterations,
                 }
             }
-            SlemMethod::Auto => unreachable!("resolved above"),
         })
-    }
-}
-
-/// The backend `Auto` picks for an `n`-node graph on `kernel`.
-fn auto_backend(n: usize, kernel: KernelKind) -> SlemMethod {
-    if kernel != KernelKind::F32 || n <= MIXED_LANCZOS_MAX_NODES {
-        SlemMethod::Lanczos
-    } else {
-        SlemMethod::PowerIteration
     }
 }
 
@@ -395,18 +325,18 @@ mod tests {
     }
 
     #[test]
-    fn auto_uses_lanczos_at_every_size_on_f64_kernels() {
-        for kernel in [KernelKind::Scalar, KernelKind::Blocked] {
-            for n in [2, 200_000, 200_001, 1_134_890] {
-                assert_eq!(auto_backend(n, kernel), SlemMethod::Lanczos);
-            }
+    fn auto_is_lanczos() {
+        for g in [
+            fixtures::petersen(),
+            fixtures::barbell(5, 2),
+            fixtures::grid(5, 4),
+        ] {
+            let auto = Slem::auto(&g).seed(7).estimate().unwrap();
+            let lanczos = Slem::lanczos(&g).seed(7).estimate().unwrap();
+            assert_eq!(auto.mu.to_bits(), lanczos.mu.to_bits());
+            assert_eq!(auto.iterations, lanczos.iterations);
+            assert_eq!(auto.method, lanczos.method);
         }
-        // the mixed-precision driver stores its basis
-        assert_eq!(auto_backend(200_000, KernelKind::F32), SlemMethod::Lanczos);
-        assert_eq!(
-            auto_backend(200_001, KernelKind::F32),
-            SlemMethod::PowerIteration
-        );
     }
 
     #[test]
@@ -460,61 +390,6 @@ mod tests {
             .unwrap();
         assert_eq!(pserial.mu.to_bits(), ppar.mu.to_bits());
         assert_eq!(pserial.iterations, ppar.iterations);
-    }
-
-    #[test]
-    fn blocked_kernel_estimate_is_bitwise_scalar() {
-        for g in [
-            fixtures::petersen(),
-            fixtures::barbell(5, 2),
-            fixtures::grid(5, 4),
-        ] {
-            for method in [SlemMethod::Lanczos, SlemMethod::PowerIteration] {
-                let scalar = Slem::new(&g, method)
-                    .kernel(KernelConfig::scalar())
-                    .estimate()
-                    .unwrap();
-                let blocked = Slem::new(&g, method)
-                    .kernel(KernelConfig::blocked())
-                    .estimate()
-                    .unwrap();
-                assert_eq!(
-                    scalar.mu.to_bits(),
-                    blocked.mu.to_bits(),
-                    "{method:?} blocked f64 kernel must be bit-for-bit"
-                );
-                assert_eq!(scalar.iterations, blocked.iterations);
-            }
-        }
-    }
-
-    #[test]
-    fn f32_kernel_estimate_within_tolerance_on_fixture_zoo() {
-        // the ISSUE contract: |µ_f32 − µ_f64| ≤ 1e-6 across the zoo
-        for g in [
-            fixtures::petersen(),
-            fixtures::barbell(5, 2),
-            fixtures::lollipop(6, 3),
-            fixtures::grid(5, 4),
-            fixtures::binary_tree(4),
-        ] {
-            for method in [SlemMethod::Lanczos, SlemMethod::PowerIteration] {
-                let exact = Slem::new(&g, method)
-                    .kernel(KernelConfig::scalar())
-                    .estimate()
-                    .unwrap();
-                let mixed = Slem::new(&g, method)
-                    .kernel(KernelConfig::mixed_f32())
-                    .estimate()
-                    .unwrap();
-                assert!(
-                    (mixed.mu - exact.mu).abs() <= 1e-6,
-                    "{method:?}: f32 µ {} vs f64 µ {}",
-                    mixed.mu,
-                    exact.mu
-                );
-            }
-        }
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //! The cross-shard determinism tests assert this equality on the whole
 //! fixture catalog.
 
-use crate::kernel::gather_row_multi;
-use crate::multivec::MultiLinearOp;
+use crate::multivec::{gather_row_multi, MultiLinearOp};
 use crate::op::LinearOp;
 use crate::workspace::with_scratch;
 use socmix_graph::Graph;
@@ -626,7 +625,6 @@ mod tests {
         // The fallback kernels must be bitwise equal to WalkOp /
         // SymmetricWalkOp so a mid-run shard failure cannot change
         // results. Exercised directly (no worker group needed).
-        use crate::kernel::KernelConfig;
         use crate::op::{SymmetricWalkOp, WalkOp};
         let g = web();
         let n = g.num_nodes();
@@ -650,11 +648,9 @@ mod tests {
             let mut y = vec![0.0; n];
             local_apply(&g, &inv_scale, finisher, &x, &mut y);
             let want = if symmetric {
-                SymmetricWalkOp::with_kernel(&g, socmix_par::Pool::serial(), KernelConfig::scalar())
-                    .apply_vec(&x)
+                SymmetricWalkOp::with_pool(&g, socmix_par::Pool::serial()).apply_vec(&x)
             } else {
-                WalkOp::with_kernel(&g, socmix_par::Pool::serial(), KernelConfig::scalar())
-                    .apply_vec(&x)
+                WalkOp::with_pool(&g, socmix_par::Pool::serial()).apply_vec(&x)
             };
             for (a, b) in y.iter().zip(&want) {
                 assert_eq!(a.to_bits(), b.to_bits(), "symmetric={symmetric}");
@@ -666,15 +662,9 @@ mod tests {
             for c in 0..width {
                 let col: Vec<f64> = (0..n).map(|i| xs[i * width + c]).collect();
                 let want = if symmetric {
-                    SymmetricWalkOp::with_kernel(
-                        &g,
-                        socmix_par::Pool::serial(),
-                        KernelConfig::scalar(),
-                    )
-                    .apply_vec(&col)
+                    SymmetricWalkOp::with_pool(&g, socmix_par::Pool::serial()).apply_vec(&col)
                 } else {
-                    WalkOp::with_kernel(&g, socmix_par::Pool::serial(), KernelConfig::scalar())
-                        .apply_vec(&col)
+                    WalkOp::with_pool(&g, socmix_par::Pool::serial()).apply_vec(&col)
                 };
                 for (i, w) in want.iter().enumerate() {
                     assert_eq!(
@@ -693,14 +683,13 @@ mod tests {
         // (8, 4, 2, 1 and their mixes), with an active width below the
         // stride, must reproduce the width-1 kernel bit for bit, both
         // in `WalkOp`'s pool-chunked path and in the local fallback.
-        use crate::kernel::KernelConfig;
         use crate::multivec::MultiLinearOp;
         use crate::op::WalkOp;
         use rand::SeedableRng;
         use socmix_par::Pool;
         let g = socmix_gen::ba::barabasi_albert(600, 3, &mut rand::rngs::StdRng::seed_from_u64(17));
         let n = g.num_nodes();
-        let serial = WalkOp::with_kernel(&g, Pool::serial(), KernelConfig::scalar());
+        let serial = WalkOp::with_pool(&g, Pool::serial());
         for width in [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17] {
             let stride = width + 2;
             let xs: Vec<f64> = (0..n * stride)
@@ -722,8 +711,7 @@ mod tests {
             );
             let mut outs = vec![("local fallback".to_string(), local)];
             for threads in [1, 2] {
-                let op =
-                    WalkOp::with_kernel(&g, Pool::with_threads(threads), KernelConfig::scalar());
+                let op = WalkOp::with_pool(&g, Pool::with_threads(threads));
                 let mut ys = vec![f64::NAN; n * stride];
                 op.apply_multi_raw(&xs, &mut ys, stride, width);
                 outs.push((format!("pool {threads}"), ys));

@@ -24,20 +24,16 @@
 //! tridiagonal eigenvector matrix, which [`tridiag_eigen_last_row`]
 //! computes in O(k²) instead of O(k³).
 
-use crate::op::{LinearOp, LinearOpF32};
+use crate::op::LinearOp;
 use crate::tridiag::{tridiag_eigen, tridiag_eigen_last_row};
-use crate::vecops::{
-    axpy, block_sweep, dot, dot32, norm2, norm2_32, normalize, normalize32, project_out32, scale,
-};
+use crate::vecops::{axpy, block_sweep, dot, norm2, normalize, scale};
 use rand::Rng;
 use socmix_obs::{obs_debug, Counter, Histogram, Span};
 
 static RUNS: Counter = Counter::new("linalg.lanczos.runs");
 static STEPS: Counter = Counter::new("linalg.lanczos.steps");
-/// Mixed-precision driver invocations.
-static MIXED_RUNS: Counter = Counter::new("linalg.lanczos.mixed_runs");
-/// Wall time per Lanczos run (extreme/topk, scalar and mixed); on a
-/// trace timeline one span per SLEM solve.
+/// Wall time per Lanczos run (extreme and topk); on a trace timeline
+/// one span per SLEM solve.
 static RUN_NS: Histogram = Histogram::new("linalg.lanczos.run_ns");
 /// [`lanczos_topk`] steps whose reorthogonalization needed a second
 /// sweep.
@@ -51,24 +47,6 @@ const DGKS_ETA: f64 = std::f64::consts::FRAC_1_SQRT_2;
 /// Ritz values closer than this to an extreme one count as copies of
 /// it in [`lanczos_extreme`]'s convergence test.
 const GHOST_TOL: f64 = 1e-10;
-
-/// β below this level in the f32 recurrence means the Krylov space is
-/// exhausted *at f32 resolution* — continuing would only orthogonalize
-/// rounding noise.
-const F32_BETA_FLOOR: f64 = 1e-6;
-/// Ritz-residual level the f32 recurrence can meaningfully certify;
-/// in-loop convergence checks stop here even when `opts.tol` is
-/// tighter, handing the rest to the f64 polish.
-const F32_RESIDUAL_FLOOR: f64 = 1e-6;
-/// Residual tolerance the polished f64 Ritz pairs are held to when
-/// reporting `converged`: the basis itself carries f32-level error, so
-/// tolerances tighter than this are not attainable on the mixed path.
-const MIXED_TOL_FLOOR: f64 = 1e-5;
-/// f64 shifted power-iteration refinement steps per extreme vector.
-const MIXED_REFINE_STEPS: usize = 2;
-/// Most f32 basis vectors [`lanczos_extreme_mixed`] stores, whatever
-/// step budget `max_iter` gives.
-const MIXED_MAX_BASIS: usize = 300;
 
 /// Options for the Lanczos drivers.
 #[derive(Debug, Clone, Copy)]
@@ -110,7 +88,7 @@ pub struct LanczosResult {
     pub converged: bool,
 }
 
-/// What the extreme drivers report when the operator is zero on the
+/// What [`lanczos_extreme`] reports when the operator is zero on the
 /// start vector.
 const ZERO_SPECTRUM: LanczosResult = LanczosResult {
     top: 0.0,
@@ -230,161 +208,6 @@ fn folded_start<Op: LinearOp, R: Rng + ?Sized>(op: &Op, rng: &mut R) -> Option<V
         v = w;
     }
     (normalize(&mut v) != 0.0).then_some(v)
-}
-
-/// Mixed-precision Lanczos: the three-term recurrence and the full
-/// reorthogonalization run entirely in f32 (half the memory traffic
-/// and basis footprint), with every reduction accumulated in f64; the
-/// extreme Ritz vectors are then reconstructed in f64, refined with a
-/// few shifted power steps, and the reported eigenvalues are their
-/// f64 Rayleigh quotients.
-///
-/// `op64` and `op32` must represent the same operator at the two
-/// precisions. Because the Rayleigh quotient is quadratically accurate
-/// in the vector error, an f32-accurate basis (vector error ≈1e-6)
-/// yields eigenvalues accurate to ≈1e-12 after the polish. Residuals
-/// and `converged` are measured in f64 against
-/// `opts.tol.max(1e-5)` — tolerances tighter than the floor are not
-/// attainable from an f32 basis and are reported honestly as such.
-///
-/// # Panics
-///
-/// Panics if the operator dimension is 0 or the two dims disagree.
-pub fn lanczos_extreme_mixed<Op64, Op32, R>(
-    op64: &Op64,
-    op32: &Op32,
-    opts: LanczosOptions,
-    rng: &mut R,
-) -> LanczosResult
-where
-    Op64: LinearOp,
-    Op32: LinearOpF32,
-    R: Rng + ?Sized,
-{
-    let n = op64.dim();
-    assert!(n > 0, "operator must be non-empty");
-    assert_eq!(op32.dim(), n, "f32/f64 operator dimension mismatch");
-    RUNS.incr();
-    MIXED_RUNS.incr();
-    let _span = Span::start(&RUN_NS);
-    let max_iter = opts.max_iter.min(n).clamp(1, MIXED_MAX_BASIS);
-    let check_every = opts.check_every.max(1);
-
-    // random start, folded into the operator's range (projects out the
-    // deflated directions when Op is deflated), in f32
-    let mut v32: Vec<f32> = (0..n).map(|_| (rng.random::<f64>() - 0.5) as f32).collect();
-    {
-        let mut w32 = vec![0.0f32; n];
-        op32.apply32(&v32, &mut w32);
-        if norm2_32(&w32) > 1e-6 {
-            v32 = w32;
-        }
-    }
-    if normalize32(&mut v32) == 0.0 {
-        return ZERO_SPECTRUM;
-    }
-
-    let mut basis: Vec<Vec<f32>> = vec![v32];
-    let mut alphas: Vec<f64> = Vec::new();
-    let mut betas: Vec<f64> = Vec::new();
-    let loop_tol = opts.tol.max(F32_RESIDUAL_FLOOR);
-
-    for j in 0..max_iter {
-        STEPS.incr();
-        let mut w = vec![0.0f32; n];
-        op32.apply32(&basis[j], &mut w);
-        let alpha = dot32(&w, &basis[j]);
-        crate::vecops::axpy32(-(alpha as f32), &basis[j], &mut w);
-        if j > 0 {
-            crate::vecops::axpy32(-(betas[j - 1] as f32), &basis[j - 1], &mut w);
-        }
-        // full reorthogonalization, two passes (coefficients in f64);
-        // unlike the f64 drivers' `reorthogonalize`, both always run:
-        // the 1e-6 cross-precision contract was measured with them
-        for _ in 0..2 {
-            for b in &basis {
-                project_out32(&mut w, b);
-            }
-        }
-        alphas.push(alpha);
-        let beta = norm2_32(&w);
-        if beta < F32_BETA_FLOOR {
-            // Krylov space exhausted at f32 resolution
-            betas.push(0.0);
-            break;
-        }
-        betas.push(beta);
-        if basis.len() == max_iter {
-            break;
-        }
-        normalize32(&mut w);
-        basis.push(w);
-
-        if (j + 1) % check_every == 0 {
-            let k = alphas.len();
-            let (vals, last) = tridiag_eigen_last_row(&alphas, &betas[..k - 1]);
-            let res_top = betas[k - 1].abs() * last[0].abs();
-            let res_bot = betas[k - 1].abs() * last[k - 1].abs();
-            obs_debug!(
-                "linalg.lanczos",
-                "mixed step {k}: ritz [{:.8}, {:.8}] residuals [{res_top:.3e}, {res_bot:.3e}]",
-                vals[k - 1],
-                vals[0]
-            );
-            if res_top < loop_tol && res_bot < loop_tol {
-                break;
-            }
-        }
-    }
-
-    // --- f64 polish: reconstruct the extreme Ritz vectors from the
-    // f32 basis, refine each with a few shifted power steps, and
-    // re-measure everything in f64.
-    let m = alphas.len();
-    let (_, vecs) = tridiag_eigen(&alphas, &betas[..m - 1]);
-    let reconstruct = |sv: &[f64]| -> Vec<f64> {
-        let mut rv = vec![0.0f64; n];
-        for (i, b) in basis.iter().take(m).enumerate() {
-            let c = sv[i];
-            for (ri, &bi) in rv.iter_mut().zip(b) {
-                *ri += c * f64::from(bi);
-            }
-        }
-        normalize(&mut rv);
-        rv
-    };
-    // `shift = +1` refines toward the top of the spectrum via the
-    // half-shifted operator (I + Op)/2, whose dominant eigenvector is
-    // the wanted one; `shift = -1` uses (I − Op)/2 for the bottom.
-    // Both applications go through op64, so a deflated operator keeps
-    // projecting the iterate back into the complement.
-    let polish = |mut v: Vec<f64>, shift: f64| -> (f64, f64) {
-        let mut w = vec![0.0; n];
-        for _ in 0..MIXED_REFINE_STEPS {
-            op64.apply(&v, &mut w);
-            scale(&mut w, 0.5 * shift);
-            axpy(0.5, &v, &mut w);
-            if normalize(&mut w) == 0.0 {
-                break;
-            }
-            std::mem::swap(&mut v, &mut w);
-        }
-        op64.apply(&v, &mut w);
-        let lambda = dot(&v, &w);
-        axpy(-lambda, &v, &mut w);
-        (lambda, norm2(&w))
-    };
-    let (top, top_residual) = polish(reconstruct(&vecs[0]), 1.0);
-    let (bottom, bottom_residual) = polish(reconstruct(&vecs[m - 1]), -1.0);
-    let mixed_tol = opts.tol.max(MIXED_TOL_FLOOR);
-    LanczosResult {
-        top,
-        bottom,
-        top_residual,
-        bottom_residual,
-        iterations: m,
-        converged: top_residual < mixed_tol && bottom_residual < mixed_tol,
-    }
 }
 
 /// Result of [`lanczos_topk`]: the leading Ritz pairs.
@@ -521,9 +344,9 @@ type Sweep = fn(&mut [f64], &[Vec<f64>]);
 /// uses, which also repeats the sweep for a `w` that was already zero;
 /// two sweeps are enough, Giraud–Langou–Rozložník 2005). The order of
 /// every sum in [`block_sweep`] is fixed by `n` and the basis size, so
-/// the result does not depend on the pool or kernel the operator ran
-/// on. The returned norm is the [`norm2`] [`lanczos_topk`] would
-/// otherwise recompute for β.
+/// the result does not depend on the pool the operator ran on. The
+/// returned norm is the [`norm2`] [`lanczos_topk`] would otherwise
+/// recompute for β.
 fn reorthogonalize(w: &mut [f64], basis: &[Vec<f64>], sweep: Sweep) -> (usize, f64) {
     let before = norm2(w);
     sweep(w, basis);
@@ -851,82 +674,6 @@ mod tests {
         assert_close(r.values[1], (2.0 * std::f64::consts::PI / 31.0).cos(), 1e-7);
     }
 
-    fn f32_sym_op(g: &socmix_graph::Graph) -> crate::op::SymmetricWalkOpF32<'_> {
-        use crate::kernel::KernelConfig;
-        use socmix_par::Pool;
-        crate::op::SymmetricWalkOpF32::with_kernel(g, Pool::serial(), KernelConfig::mixed_f32())
-    }
-
-    #[test]
-    fn mixed_deflated_odd_cycle_closed_form() {
-        let n = 9;
-        let g = tests_support::big_cycle(n);
-        let sop = SymmetricWalkOp::new(&g);
-        let basis = vec![sop.top_eigenvector()];
-        let defl = DeflatedOp::new(sop, &basis);
-        let sop32 = f32_sym_op(&g);
-        let basis32 = vec![sop32.top_eigenvector32()];
-        let defl32 = crate::op::DeflatedOpF32::new(sop32, &basis32);
-        let mut rng = StdRng::seed_from_u64(30);
-        let r = lanczos_extreme_mixed(&defl, &defl32, LanczosOptions::default(), &mut rng);
-        let mu = r.top.max(-r.bottom);
-        assert_close(mu, (std::f64::consts::PI / n as f64).cos(), 1e-7);
-        assert!(
-            r.converged,
-            "residuals {:e}/{:e}",
-            r.top_residual, r.bottom_residual
-        );
-    }
-
-    #[test]
-    fn mixed_matches_dense_slem_on_random_graph() {
-        use rand::Rng;
-        let mut grng = StdRng::seed_from_u64(31);
-        let mut b = GraphBuilder::new();
-        for v in 1..60u32 {
-            let u = grng.random_range(0..v);
-            b.add_edge(u, v);
-        }
-        for _ in 0..120 {
-            let u = grng.random_range(0..60u32);
-            let v = grng.random_range(0..60u32);
-            if u != v {
-                b.add_edge(u, v);
-            }
-        }
-        let g = b.build();
-        let expect = slem_dense(&g);
-        let sop = SymmetricWalkOp::new(&g);
-        let basis = vec![sop.top_eigenvector()];
-        let defl = DeflatedOp::new(sop, &basis);
-        let sop32 = f32_sym_op(&g);
-        let basis32 = vec![sop32.top_eigenvector32()];
-        let defl32 = crate::op::DeflatedOpF32::new(sop32, &basis32);
-        let mut rng = StdRng::seed_from_u64(32);
-        let r = lanczos_extreme_mixed(&defl, &defl32, LanczosOptions::default(), &mut rng);
-        let mu = r.top.max(-r.bottom);
-        assert_close(mu, expect, 1e-6);
-    }
-
-    #[test]
-    fn mixed_bipartite_bottom_is_minus_one() {
-        let g = {
-            let mut b = GraphBuilder::new();
-            for u in 0..3u32 {
-                for v in 0..3u32 {
-                    b.add_edge(u, 3 + v);
-                }
-            }
-            b.build()
-        };
-        let op = SymmetricWalkOp::new(&g);
-        let op32 = f32_sym_op(&g);
-        let mut rng = StdRng::seed_from_u64(33);
-        let r = lanczos_extreme_mixed(&op, &op32, LanczosOptions::default(), &mut rng);
-        assert_close(r.bottom, -1.0, 1e-6);
-        assert_close(r.top, 1.0, 1e-6);
-    }
-
     /// `k` orthonormal vectors of length `n` (Gram–Schmidt over seeded
     /// random vectors, each swept twice).
     fn orthonormal_basis(n: usize, k: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -1144,24 +891,6 @@ mod tests {
             zero.top.max(-zero.bottom),
             (std::f64::consts::PI / 9.0).cos(),
             1e-8,
-        );
-    }
-
-    #[test]
-    fn mixed_accepts_check_every_zero() {
-        let g = tests_support::big_cycle(9);
-        let sop = SymmetricWalkOp::new(&g);
-        let basis = vec![sop.top_eigenvector()];
-        let defl = DeflatedOp::new(sop, &basis);
-        let sop32 = f32_sym_op(&g);
-        let basis32 = vec![sop32.top_eigenvector32()];
-        let defl32 = crate::op::DeflatedOpF32::new(sop32, &basis32);
-        let mut rng = StdRng::seed_from_u64(30);
-        let r = lanczos_extreme_mixed(&defl, &defl32, every_step(), &mut rng);
-        assert_close(
-            r.top.max(-r.bottom),
-            (std::f64::consts::PI / 9.0).cos(),
-            1e-7,
         );
     }
 

@@ -10,15 +10,13 @@
 //!   row-stochastic walk operator `P`, its symmetrization
 //!   `S = D^{-1/2} A D^{-1/2}` (same spectrum, symmetric — the key
 //!   trick that lets us use symmetric methods), lazy and deflated
-//!   wrappers.
-//! - [`kernel`] — matvec kernel selection (`SOCMIX_KERNEL`): the
-//!   scalar baseline, a cache-blocked f64 gather (bit-for-bit equal
-//!   to scalar), and the mixed-precision f32 path with its 1e-6
-//!   tolerance contract.
+//!   wrappers. The walk operators have one f64 gather, a plain loop
+//!   that sums each CSR row in storage order, so results are bit for
+//!   bit the same at every pool width.
 //! - [`multivec`] — row-major `n × B` blocks and the batched
 //!   [`multivec::MultiLinearOp`] apply: one CSR traversal serves `B`
 //!   stacked distributions, the GEMM-shaped kernel behind the
-//!   sampling probe.
+//!   sampling probe, each column bit-for-bit the single-vector apply.
 //! - [`distributed`] — the partitioned-CSR multi-process backend:
 //!   [`distributed::plan_shards`] splits the structure along an
 //!   edge-cut, [`distributed::DistributedOp`] runs the same walk
@@ -53,7 +51,6 @@
 pub mod cg;
 pub mod dense;
 pub mod distributed;
-pub mod kernel;
 pub mod lanczos;
 pub mod multivec;
 pub mod op;
@@ -64,16 +61,9 @@ pub mod workspace;
 
 pub use dense::{jacobi_eigen, DenseMatrix};
 pub use distributed::{contiguous_labels, plan_shards, DistributedOp, ShardPart, ShardPlan};
-pub use kernel::{KernelConfig, KernelKind};
-pub use lanczos::{
-    lanczos_extreme, lanczos_extreme_mixed, lanczos_topk, LanczosOptions, LanczosResult, TopkResult,
-};
+pub use lanczos::{lanczos_extreme, lanczos_topk, LanczosOptions, LanczosResult, TopkResult};
 pub use multivec::{MultiLinearOp, MultiVec, MultiVecMut};
-pub use op::{
-    DeflatedOp, DeflatedOpF32, LazyOp, LinearOp, LinearOpF32, SymmetricWalkOp, SymmetricWalkOpF32,
-    WalkOp,
-};
+pub use op::{DeflatedOp, LazyOp, LinearOp, SymmetricWalkOp, WalkOp};
 pub use power::{
-    power_iteration, power_iteration_mixed, spectral_radius_in_complement,
-    spectral_radius_in_complement_mixed, PowerOptions, PowerResult, SpectralRadius,
+    power_iteration, spectral_radius_in_complement, PowerOptions, PowerResult, SpectralRadius,
 };

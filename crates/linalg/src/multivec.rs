@@ -13,8 +13,7 @@
 //! the same floating-point operations in the same order as the serial
 //! kernel, so batched results are bit-for-bit equal.
 
-use crate::kernel::{self, KernelKind};
-use crate::op::{LazyOp, LinearOp, WalkOp};
+use crate::op::{LazyOp, LinearOp, SendMut, WalkOp};
 use socmix_obs::Counter;
 
 /// Batched walk-operator applications (one CSR traversal each).
@@ -196,49 +195,80 @@ impl MultiLinearOp for WalkOp<'_> {
         let inv_deg = self.inv_degrees();
         // Disjoint row ranges of y per chunk; same SendMut pattern as
         // the serial kernel.
-        let yptr = SendMutF64(ys.as_mut_ptr());
+        let yptr = SendMut(ys.as_mut_ptr());
         let ypref = &yptr;
-        match self.kernel().kind {
-            KernelKind::Scalar => {
-                self.pool().for_each_chunk(n, move |range| {
-                    for j in range {
-                        // SAFETY: chunks own disjoint row ranges of y.
-                        let yr = unsafe {
-                            std::slice::from_raw_parts_mut(ypref.0.add(j * stride), width)
-                        };
-                        kernel::gather_row_multi(
-                            &targets[offsets[j]..offsets[j + 1]],
-                            inv_deg,
-                            xs,
-                            stride,
-                            yr,
-                        );
-                    }
-                });
+        self.pool().for_each_chunk(n, move |range| {
+            for j in range {
+                // SAFETY: chunks own disjoint row ranges of y.
+                let yr = unsafe { std::slice::from_raw_parts_mut(ypref.0.add(j * stride), width) };
+                gather_row_multi(
+                    &targets[offsets[j]..offsets[j + 1]],
+                    inv_deg,
+                    xs,
+                    stride,
+                    yr,
+                );
             }
-            // The blocked multi-gather keeps the per-column operation
-            // sequence of the scalar path (one fma-shaped pair per
-            // edge, ascending columns), so it stays bit-for-bit equal;
-            // there is no f32 block path, so F32 shares it.
-            KernelKind::Blocked | KernelKind::F32 => {
-                // Scale the column tile down by the row footprint so a
-                // tile of x-rows still fits the same cache budget.
-                let tile = (self.kernel().col_tile / width.max(1)).max(1);
-                self.pool().for_each_chunk(n, move |range| {
-                    // SAFETY: chunks own disjoint row ranges of y.
-                    let yr = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            ypref.0.add(range.start * stride),
-                            range.len() * stride,
-                        )
-                    };
-                    kernel::gather_rows_multi_f64(
-                        offsets, targets, inv_deg, xs, stride, width, range, tile, yr,
-                    );
-                });
-            }
+        });
+    }
+}
+
+/// Batched gather of one output row: `y[c] = Σ_i x[i, c] · inv[i]`
+/// over `nbrs` (the row's ascending adjacency) for every column
+/// `c < y.len()`, where row `i` of the block starts at `xs[i * stride]`.
+///
+/// The columns go in blocks of 8, then 4, 2 and 1, and each block
+/// accumulates in registers over the whole adjacency list before one
+/// store. Per column the operation sequence is the serial kernel's
+/// (`acc = 0`, then `acc += x·inv` per neighbour in ascending order, a
+/// rounded multiply and then an add, never fused), so every column is
+/// bit-for-bit equal to [`crate::LinearOp::apply`].
+pub(crate) fn gather_row_multi(
+    nbrs: &[u32],
+    inv: &[f64],
+    xs: &[f64],
+    stride: usize,
+    y: &mut [f64],
+) {
+    let mut c = 0;
+    while y.len() - c >= 8 {
+        gather_cols::<8>(nbrs, inv, xs, stride, c, &mut y[c..c + 8]);
+        c += 8;
+    }
+    if y.len() - c >= 4 {
+        gather_cols::<4>(nbrs, inv, xs, stride, c, &mut y[c..c + 4]);
+        c += 4;
+    }
+    if y.len() - c >= 2 {
+        gather_cols::<2>(nbrs, inv, xs, stride, c, &mut y[c..c + 2]);
+        c += 2;
+    }
+    if y.len() > c {
+        gather_cols::<1>(nbrs, inv, xs, stride, c, &mut y[c..]);
+    }
+}
+
+/// One `B`-column block of [`gather_row_multi`], starting at column
+/// `col`.
+#[inline(always)]
+fn gather_cols<const B: usize>(
+    nbrs: &[u32],
+    inv: &[f64],
+    xs: &[f64],
+    stride: usize,
+    col: usize,
+    y: &mut [f64],
+) {
+    let mut acc = [0.0f64; B];
+    for &i in nbrs {
+        let i = i as usize;
+        let d = inv[i];
+        let xr = &xs[i * stride + col..i * stride + col + B];
+        for (a, &x) in acc.iter_mut().zip(xr) {
+            *a += x * d;
         }
     }
+    y.copy_from_slice(&acc);
 }
 
 impl<Op: MultiLinearOp> MultiLinearOp for LazyOp<Op> {
@@ -324,17 +354,6 @@ impl<'a> MultiVecMut<'a> {
         self.data
     }
 }
-
-/// Raw-pointer wrapper for disjoint-row writes (same pattern as the
-/// serial operators).
-struct SendMutF64(*mut f64);
-// SAFETY: each worker writes only the rows of its assigned chunk, and
-// chunks partition the row space, so the shared base pointer never
-// creates overlapping mutable access from two threads.
-unsafe impl Send for SendMutF64 {}
-// SAFETY: copies share only the pointer value; writes stay
-// row-disjoint per the Send argument above.
-unsafe impl Sync for SendMutF64 {}
 
 #[cfg(test)]
 mod tests {
@@ -441,33 +460,6 @@ mod tests {
         op.apply_multi(&x, &mut y, 2);
         assert_eq!(y.column(2), vec![9.0; n]);
         assert_eq!(y.column(0), op.apply_vec(&x.column(0)));
-    }
-
-    #[test]
-    fn blocked_multi_is_bitwise_scalar() {
-        use crate::kernel::KernelConfig;
-        let g = diamond();
-        let n = g.num_nodes();
-        let scalar = WalkOp::with_kernel(&g, Pool::serial(), KernelConfig::scalar());
-        let mut x = MultiVec::zeros(n, 3);
-        for c in 0..3 {
-            let col: Vec<f64> = (0..n)
-                .map(|i| ((i * 11 + c * 5) % 7) as f64 / 7.0)
-                .collect();
-            x.set_column(c, &col);
-        }
-        let mut want = MultiVec::zeros(n, 3);
-        scalar.apply_multi(&x, &mut want, 3);
-        for cfg in [
-            KernelConfig::blocked(),
-            KernelConfig::blocked().col_tile(2), // force the multi-tile path
-            KernelConfig::mixed_f32(),           // f64 block path is shared
-        ] {
-            let op = WalkOp::with_kernel(&g, Pool::serial(), cfg);
-            let mut y = MultiVec::zeros(n, 3);
-            op.apply_multi(&x, &mut y, 3);
-            assert_eq!(y.as_slice(), want.as_slice(), "kernel {:?}", cfg.kind);
-        }
     }
 
     #[test]

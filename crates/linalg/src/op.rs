@@ -10,9 +10,8 @@
 //! apply.
 
 use crate::distributed::DistributedOp;
-use crate::kernel::{self, KernelConfig, KernelKind};
 use crate::vecops;
-use crate::workspace::{with_arena, with_scratch};
+use crate::workspace::with_scratch;
 use socmix_graph::Graph;
 use socmix_obs::Counter;
 use socmix_par::Pool;
@@ -20,10 +19,6 @@ use socmix_par::Pool;
 /// Sparse walk-operator applications (serial kernels; the batched
 /// kernel counts separately under `linalg.matvec.multi`).
 static MATVECS: Counter = Counter::new("linalg.matvec");
-/// Applications routed through the cache-blocked f64 gather.
-static BLOCKED_MATVECS: Counter = Counter::new("linalg.matvec.blocked");
-/// Applications of the single-precision operators.
-static F32_MATVECS: Counter = Counter::new("linalg.matvec.f32");
 
 /// A (square) linear operator applied matrix-free.
 ///
@@ -54,7 +49,6 @@ pub trait LinearOp {
 pub struct WalkOp<'g> {
     graph: &'g Graph,
     pool: Pool,
-    kernel: KernelConfig,
     /// scratch: z[i] = x[i] / deg(i)
     inv_deg: Vec<f64>,
     /// The process-sharded twin when `SOCMIX_SHARDS > 1` routes this
@@ -71,14 +65,8 @@ impl<'g> WalkOp<'g> {
         Self::with_pool(graph, Pool::new())
     }
 
-    /// As [`WalkOp::new`] with an explicit thread pool. The kernel is
-    /// taken from the `SOCMIX_KERNEL` environment (scalar by default).
+    /// As [`WalkOp::new`] with an explicit thread pool.
     pub fn with_pool(graph: &'g Graph, pool: Pool) -> Self {
-        Self::with_kernel(graph, pool, KernelConfig::from_env())
-    }
-
-    /// As [`WalkOp::with_pool`] with an explicit kernel selection.
-    pub fn with_kernel(graph: &'g Graph, pool: Pool, kernel: KernelConfig) -> Self {
         let inv_deg = (0..graph.num_nodes())
             .map(|v| {
                 let d = graph.degree(v as u32);
@@ -92,7 +80,6 @@ impl<'g> WalkOp<'g> {
         WalkOp {
             graph,
             pool,
-            kernel,
             inv_deg,
             dist: crate::distributed::auto_route(graph, false),
         }
@@ -117,11 +104,6 @@ impl<'g> WalkOp<'g> {
     /// The pool this operator schedules row chunks on.
     pub fn pool(&self) -> &Pool {
         &self.pool
-    }
-
-    /// The kernel configuration in force.
-    pub fn kernel(&self) -> KernelConfig {
-        self.kernel
     }
 }
 
@@ -159,35 +141,18 @@ impl LinearOp for WalkOp<'_> {
             // of y.
             let yptr = SendMut(y.as_mut_ptr());
             let ypref = &yptr;
-            match self.kernel.kind {
-                KernelKind::Scalar => self.pool.for_each_chunk(n, move |range| {
-                    for j in range {
-                        let mut acc = 0.0;
-                        for &i in &targets[offsets[j]..offsets[j + 1]] {
-                            acc += zref[i as usize];
-                        }
-                        // SAFETY: ranges from for_each_chunk are disjoint.
-                        unsafe {
-                            *ypref.0.add(j) = acc;
-                        }
+            self.pool.for_each_chunk(n, move |range| {
+                for j in range {
+                    let mut acc = 0.0;
+                    for &i in &targets[offsets[j]..offsets[j + 1]] {
+                        acc += zref[i as usize];
                     }
-                }),
-                // the f64 entry point of the F32 config runs the
-                // blocked kernel: still bit-for-bit scalar-identical
-                KernelKind::Blocked | KernelKind::F32 => {
-                    BLOCKED_MATVECS.incr();
-                    let tile = self.kernel.col_tile;
-                    self.pool.for_each_chunk(n, move |range| {
-                        // SAFETY: ranges from for_each_chunk are
-                        // disjoint, so this chunk exclusively owns
-                        // y[range].
-                        let yr = unsafe {
-                            std::slice::from_raw_parts_mut(ypref.0.add(range.start), range.len())
-                        };
-                        kernel::gather_rows_f64(offsets, targets, zref, range, tile, yr, |_, a| a);
-                    });
+                    // SAFETY: ranges from for_each_chunk are disjoint.
+                    unsafe {
+                        *ypref.0.add(j) = acc;
+                    }
                 }
-            }
+            });
         });
     }
 }
@@ -201,7 +166,6 @@ impl LinearOp for WalkOp<'_> {
 pub struct SymmetricWalkOp<'g> {
     graph: &'g Graph,
     pool: Pool,
-    kernel: KernelConfig,
     inv_sqrt_deg: Vec<f64>,
     /// The process-sharded twin when `SOCMIX_SHARDS > 1` is live
     /// (bitwise-identical results; `None` = shared-memory only).
@@ -214,14 +178,8 @@ impl<'g> SymmetricWalkOp<'g> {
         Self::with_pool(graph, Pool::new())
     }
 
-    /// As [`SymmetricWalkOp::new`] with an explicit thread pool. The
-    /// kernel is taken from the `SOCMIX_KERNEL` environment.
+    /// As [`SymmetricWalkOp::new`] with an explicit thread pool.
     pub fn with_pool(graph: &'g Graph, pool: Pool) -> Self {
-        Self::with_kernel(graph, pool, KernelConfig::from_env())
-    }
-
-    /// As [`SymmetricWalkOp::with_pool`] with an explicit kernel.
-    pub fn with_kernel(graph: &'g Graph, pool: Pool, kernel: KernelConfig) -> Self {
         let inv_sqrt_deg = (0..graph.num_nodes())
             .map(|v| {
                 let d = graph.degree(v as u32);
@@ -235,7 +193,6 @@ impl<'g> SymmetricWalkOp<'g> {
         SymmetricWalkOp {
             graph,
             pool,
-            kernel,
             inv_sqrt_deg,
             dist: crate::distributed::auto_route(graph, true),
         }
@@ -253,11 +210,6 @@ impl<'g> SymmetricWalkOp<'g> {
         (0..self.graph.num_nodes())
             .map(|v| (self.graph.degree(v as u32) as f64 / total).sqrt())
             .collect()
-    }
-
-    /// The kernel configuration in force.
-    pub fn kernel(&self) -> KernelConfig {
-        self.kernel
     }
 }
 
@@ -293,35 +245,18 @@ impl LinearOp for SymmetricWalkOp<'_> {
             let inv = &self.inv_sqrt_deg;
             let yptr = SendMut(y.as_mut_ptr());
             let ypref = &yptr;
-            match self.kernel.kind {
-                KernelKind::Scalar => self.pool.for_each_chunk(n, move |range| {
-                    for i in range {
-                        let mut acc = 0.0;
-                        for &j in &targets[offsets[i]..offsets[i + 1]] {
-                            acc += zref[j as usize];
-                        }
-                        // SAFETY: ranges from for_each_chunk are disjoint.
-                        unsafe {
-                            *ypref.0.add(i) = acc * inv[i];
-                        }
+            self.pool.for_each_chunk(n, move |range| {
+                for i in range {
+                    let mut acc = 0.0;
+                    for &j in &targets[offsets[i]..offsets[i + 1]] {
+                        acc += zref[j as usize];
                     }
-                }),
-                KernelKind::Blocked | KernelKind::F32 => {
-                    BLOCKED_MATVECS.incr();
-                    let tile = self.kernel.col_tile;
-                    self.pool.for_each_chunk(n, move |range| {
-                        // SAFETY: ranges from for_each_chunk are
-                        // disjoint, so this chunk exclusively owns
-                        // y[range].
-                        let yr = unsafe {
-                            std::slice::from_raw_parts_mut(ypref.0.add(range.start), range.len())
-                        };
-                        kernel::gather_rows_f64(offsets, targets, zref, range, tile, yr, |i, a| {
-                            a * inv[i]
-                        });
-                    });
+                    // SAFETY: ranges from for_each_chunk are disjoint.
+                    unsafe {
+                        *ypref.0.add(i) = acc * inv[i];
+                    }
                 }
-            }
+            });
         });
     }
 }
@@ -427,180 +362,18 @@ impl LinearOp for DenseOp {
     }
 }
 
-/// A (square) linear operator applied matrix-free in **f32**.
-///
-/// The single-precision side of the mixed-precision drivers
-/// ([`crate::power::power_iteration_mixed`],
-/// [`crate::lanczos::lanczos_extreme_mixed`]): iterations run here,
-/// final answers are polished through the paired f64 operator. Unlike
-/// [`LinearOp`], implementations are free to reassociate sums — the
-/// contract is a tolerance (µ within 1e-6 of the f64 answer), not
-/// bit-reproducibility against f64. For a fixed input the result is
-/// still deterministic and pool-width independent: each output row's
-/// accumulation order is fixed, only row scheduling varies.
-pub trait LinearOpF32 {
-    /// Dimension of the (square) operator.
-    fn dim(&self) -> usize;
-
-    /// Computes `y = Op · x` in f32.
-    fn apply32(&self, x: &[f32], y: &mut [f32]);
-
-    /// Convenience allocating wrapper around [`LinearOpF32::apply32`].
-    fn apply_vec32(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.dim()];
-        self.apply32(x, &mut y);
-        y
-    }
-}
-
-/// Single-precision twin of [`SymmetricWalkOp`], built from the same
-/// graph and pool for the mixed-precision drivers.
-pub struct SymmetricWalkOpF32<'g> {
-    graph: &'g Graph,
-    pool: Pool,
-    col_tile: usize,
-    inv_sqrt_deg: Vec<f32>,
-}
-
-impl<'g> SymmetricWalkOpF32<'g> {
-    /// Wraps a graph with an explicit pool and blocking geometry
-    /// (only `col_tile` of the config matters here — this operator
-    /// *is* the f32 kernel).
-    pub fn with_kernel(graph: &'g Graph, pool: Pool, kernel: KernelConfig) -> Self {
-        let inv_sqrt_deg = (0..graph.num_nodes())
-            .map(|v| {
-                let d = graph.degree(v as u32);
-                if d == 0 {
-                    0.0
-                } else {
-                    (1.0 / (d as f64).sqrt()) as f32
-                }
-            })
-            .collect();
-        SymmetricWalkOpF32 {
-            graph,
-            pool,
-            col_tile: kernel.col_tile,
-            inv_sqrt_deg,
-        }
-    }
-
-    /// The top eigenvector `u₁ = D^{1/2}𝟙 / ‖·‖` in f32 (computed in
-    /// f64, rounded once).
-    pub fn top_eigenvector32(&self) -> Vec<f32> {
-        let total = self.graph.total_degree() as f64;
-        (0..self.graph.num_nodes())
-            .map(|v| (self.graph.degree(v as u32) as f64 / total).sqrt() as f32)
-            .collect()
-    }
-}
-
-impl LinearOpF32 for SymmetricWalkOpF32<'_> {
-    fn dim(&self) -> usize {
-        self.graph.num_nodes()
-    }
-
-    fn apply32(&self, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), self.dim());
-        assert_eq!(y.len(), self.dim());
-        F32_MATVECS.incr();
-        let n = self.dim();
-        with_arena(|arena| {
-            let z = arena.alloc_f32(n);
-            for ((zi, xi), inv) in z.iter_mut().zip(x).zip(&self.inv_sqrt_deg) {
-                *zi = xi * inv;
-            }
-            let g = self.graph;
-            let offsets = g.offsets();
-            let targets = g.raw_targets();
-            let zref = &*z;
-            let inv = &self.inv_sqrt_deg;
-            let tile = self.col_tile;
-            let yptr = SendMutF32(y.as_mut_ptr());
-            let ypref = &yptr;
-            self.pool.for_each_chunk(n, move |range| {
-                // SAFETY: ranges from for_each_chunk are disjoint, so
-                // this chunk exclusively owns y[range].
-                let yr = unsafe {
-                    std::slice::from_raw_parts_mut(ypref.0.add(range.start), range.len())
-                };
-                kernel::gather_rows_f32(offsets, targets, zref, range, tile, yr, |i, a| a * inv[i]);
-            });
-        });
-    }
-}
-
-/// Single-precision twin of [`DeflatedOp`]: projections in f32 with
-/// f64-accumulated coefficients.
-pub struct DeflatedOpF32<'a, Op> {
-    inner: Op,
-    basis: &'a [Vec<f32>],
-}
-
-impl<'a, Op: LinearOpF32> DeflatedOpF32<'a, Op> {
-    /// Wraps `inner`, deflating the span of the (unit) f32 `basis`.
-    pub fn new(inner: Op, basis: &'a [Vec<f32>]) -> Self {
-        for b in basis {
-            debug_assert_eq!(b.len(), inner.dim());
-            debug_assert!(
-                (vecops::norm2_32(b) - 1.0).abs() < 1e-4,
-                "basis must be unit"
-            );
-        }
-        DeflatedOpF32 { inner, basis }
-    }
-
-    /// Projects `x` onto the orthogonal complement of the basis.
-    pub fn project32(&self, x: &mut [f32]) {
-        for b in self.basis {
-            vecops::project_out32(x, b);
-        }
-    }
-}
-
-impl<Op: LinearOpF32> LinearOpF32 for DeflatedOpF32<'_, Op> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    /// Applies `P·inner` (output-side projection only). The f64
-    /// [`DeflatedOp`] applies the full `P·inner·P`; here the input
-    /// projection is dropped because it buys nothing the tolerance
-    /// contract can measure: deflation presumes the basis spans an
-    /// invariant subspace of `inner` (`S·b ≈ b` for the walk
-    /// operator's top eigenvector), so for `x = x⊥ + c·b` the skipped
-    /// term is `P·S·(c·b) = c·P·b + O(c·ε) = O(c·ε)` — f32 noise. On
-    /// the complement itself (where every projected output, hence
-    /// every power/Lanczos iterate, lives) the two operators are
-    /// identical. Skipping it saves an O(n) copy and projection per
-    /// matvec in the mixed drivers' hot loop.
-    fn apply32(&self, x: &[f32], y: &mut [f32]) {
-        self.inner.apply32(x, y);
-        self.project32(y);
-    }
-}
-
 /// Raw-pointer wrapper so disjoint chunks can write one output slice
-/// without a lock (same pattern as `socmix-par`'s map).
-struct SendMut(*mut f64);
-// SAFETY: workers write through `base.add(i)` only for row indices
-// `i` in their own chunk, and chunks partition the output slice, so
-// the pointer never produces overlapping mutable access; `f64` is
-// trivially sendable.
+/// without a lock (same pattern as `socmix-par`'s map); the batched
+/// kernel in [`crate::multivec`] shares it.
+pub(crate) struct SendMut(pub(crate) *mut f64);
+// SAFETY: workers write only the rows of their own chunk (entry `i`,
+// or row `i`'s entries of a row-major block), and chunks partition the
+// rows, so the pointer never produces overlapping mutable access;
+// `f64` is trivially sendable.
 unsafe impl Send for SendMut {}
 // SAFETY: shared copies carry only the base address; disjointness of
 // the written rows (Send argument above) rules out aliased `&mut`.
 unsafe impl Sync for SendMut {}
-
-/// f32 counterpart of [`SendMut`] for the single-precision kernels.
-struct SendMutF32(*mut f32);
-// SAFETY: workers write through `base.add(i)` only for row indices in
-// their own chunk, and chunks partition the output slice, so the
-// pointer never produces overlapping mutable access.
-unsafe impl Send for SendMutF32 {}
-// SAFETY: shared copies carry only the base address; disjointness of
-// the written rows (Send argument above) rules out aliased `&mut`.
-unsafe impl Sync for SendMutF32 {}
 
 #[cfg(test)]
 mod tests {
@@ -710,78 +483,6 @@ mod tests {
             n: 2,
         };
         assert_eq!(op.apply_vec(&[1.0, 1.0]), vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn blocked_kernel_is_bitwise_scalar() {
-        let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)]).build();
-        let n = g.num_nodes();
-        let x: Vec<f64> = (0..n).map(|i| ((i as f64) + 0.3).sin()).collect();
-        let pool = socmix_par::Pool::serial();
-        for mk in [KernelConfig::blocked(), KernelConfig::mixed_f32()] {
-            // force the multi-tile path with a tiny tile as well
-            for cfg in [mk, mk.col_tile(2)] {
-                let scalar = SymmetricWalkOp::with_kernel(&g, pool, KernelConfig::scalar());
-                let blocked = SymmetricWalkOp::with_kernel(&g, pool, cfg);
-                let a = scalar.apply_vec(&x);
-                let b = blocked.apply_vec(&x);
-                for (av, bv) in a.iter().zip(&b) {
-                    assert_eq!(av.to_bits(), bv.to_bits(), "{cfg:?}");
-                }
-                let ws = WalkOp::with_kernel(&g, pool, KernelConfig::scalar());
-                let wb = WalkOp::with_kernel(&g, pool, cfg);
-                let a = ws.apply_vec(&x);
-                let b = wb.apply_vec(&x);
-                for (av, bv) in a.iter().zip(&b) {
-                    assert_eq!(av.to_bits(), bv.to_bits(), "{cfg:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn f32_op_tracks_f64_within_tolerance() {
-        let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)]).build();
-        let n = g.num_nodes();
-        let pool = socmix_par::Pool::serial();
-        let op64 = SymmetricWalkOp::with_kernel(&g, pool, KernelConfig::scalar());
-        let op32 = SymmetricWalkOpF32::with_kernel(&g, pool, KernelConfig::mixed_f32());
-        let x64: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7).cos()).collect();
-        let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
-        let y64 = op64.apply_vec(&x64);
-        let y32 = op32.apply_vec32(&x32);
-        for (a, b) in y64.iter().zip(&y32) {
-            assert!((a - f64::from(*b)).abs() < 1e-6, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn f32_op_is_pool_width_independent() {
-        let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)]).build();
-        let n = g.num_nodes();
-        let x: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.9).sin()).collect();
-        let cfg = KernelConfig::mixed_f32();
-        let serial =
-            SymmetricWalkOpF32::with_kernel(&g, socmix_par::Pool::serial(), cfg).apply_vec32(&x);
-        let par = SymmetricWalkOpF32::with_kernel(&g, socmix_par::Pool::with_threads(4), cfg)
-            .apply_vec32(&x);
-        for (a, b) in serial.iter().zip(&par) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn deflated_f32_annihilates_basis() {
-        let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0)]).build();
-        let pool = socmix_par::Pool::serial();
-        let op = SymmetricWalkOpF32::with_kernel(&g, pool, KernelConfig::mixed_f32());
-        let basis = vec![op.top_eigenvector32()];
-        let defl = DeflatedOpF32::new(
-            SymmetricWalkOpF32::with_kernel(&g, pool, KernelConfig::mixed_f32()),
-            &basis,
-        );
-        let y = defl.apply_vec32(&basis[0]);
-        assert!(vecops::norm2_32(&y) < 1e-5, "deflated f32 op must kill u₁");
     }
 
     #[test]

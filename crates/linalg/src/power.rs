@@ -11,49 +11,22 @@
 //! but the Rayleigh-quotient *modulus* still converges to µ, which is
 //! all the mixing bounds need.
 
-use crate::op::{LinearOp, LinearOpF32};
-use crate::vecops::{
-    axpy, dot, dot32, norm2, norm2_32, normalize, normalize32, resid_norm32, scale32,
-};
+use crate::op::LinearOp;
+use crate::vecops::{axpy, dot, norm2, normalize};
 use rand::Rng;
 use socmix_obs::{obs_debug, Counter, Histogram, Span};
 
 static RUNS: Counter = Counter::new("linalg.power.runs");
 static ITERS: Counter = Counter::new("linalg.power.iters");
-/// Wall time per power-iteration run (scalar and mixed drivers); on a
-/// trace timeline one span per SLEM solve.
+/// Wall time per power-iteration run; on a trace timeline one span per
+/// SLEM solve.
 static RUN_NS: Histogram = Histogram::new("linalg.power.run_ns");
 /// Times the ±pair degeneracy forced the two-step Rayleigh fallback in
 /// [`spectral_radius_in_complement`].
 static TWO_STEP_FALLBACKS: Counter = Counter::new("linalg.power.two_step_fallback");
-/// Mixed-precision driver invocations.
-static MIXED_RUNS: Counter = Counter::new("linalg.power.mixed_runs");
-/// Iterations the mixed driver spent in the cheap f32 phase.
-static MIXED_F32_ITERS: Counter = Counter::new("linalg.power.f32_iters");
 
 /// Emit a residual-trajectory event every this many iterations.
 const TRACE_EVERY: usize = 100;
-
-/// Residual level below which single precision cannot reliably improve
-/// the iterate: one ulp of an O(1) eigenvalue in f32 is ≈1.2e-7, and
-/// the gathered matvec noise sits a little above that.
-const F32_RESIDUAL_FLOOR: f64 = 1e-6;
-/// The f32 phase also hands over when the residual is already inside
-/// f32 noise territory (below this ceiling) and has stopped improving
-/// — iterating in f32 past its own floor is wasted work.
-const F32_STALL_CEILING: f64 = 1e-4;
-/// "Stopped improving" = no relative improvement better than this
-/// factor for [`F32_STALL_WINDOW`] consecutive iterations.
-const F32_STALL_IMPROVEMENT: f64 = 0.995;
-const F32_STALL_WINDOW: usize = 12;
-/// While the f32 residual is clearly above [`F32_STALL_CEILING`] the
-/// cheap phase measures it only every this many iterations: the check
-/// costs several O(n) passes on top of the gather, and far from
-/// convergence the residual cannot cross the exit thresholds between
-/// checks by more than the geometric factor a few extra iterations
-/// cost. Once inside noise territory the check reverts to every
-/// iteration so the stall window keeps its per-iteration meaning.
-const F32_CHECK_EVERY: usize = 10;
 
 /// Options for [`power_iteration`].
 #[derive(Debug, Clone, Copy)]
@@ -165,168 +138,6 @@ pub fn power_iteration<Op: LinearOp, R: Rng + ?Sized>(
     }
 }
 
-/// Mixed-precision power iteration: cheap f32 iterations followed by
-/// f64 residual-correction iterations and a final f64 Rayleigh polish.
-///
-/// `op64` and `op32` must represent the *same* operator at the two
-/// precisions (same dimension, entries within f32 rounding). The f32
-/// phase runs until its residual reaches the larger of `opts.tol` and
-/// the f32 noise floor (≈1e-6), or visibly stalls inside f32 noise
-/// territory, or the budget runs out; the iterate is then promoted to
-/// f64 and iterated further under the exact `opts.tol` criterion.
-///
-/// The final f64 application that measures the polished Rayleigh
-/// quotient and residual is a *measurement*, not an iteration, and is
-/// not charged against `opts.max_iter`; `iterations` counts f32 and
-/// f64 iterations together and never exceeds the budget. Because the
-/// Rayleigh quotient is quadratically accurate in the iterate error,
-/// an f32-accurate vector (error ≈1e-7) already pins the eigenvalue
-/// to ≈1e-13 — the polish makes that accuracy, and the honesty of
-/// `residual`/`converged`, independent of the f32 phase.
-pub fn power_iteration_mixed<Op64, Op32, R>(
-    op64: &Op64,
-    op32: &Op32,
-    opts: PowerOptions,
-    rng: &mut R,
-) -> PowerResult
-where
-    Op64: LinearOp,
-    Op32: LinearOpF32,
-    R: Rng + ?Sized,
-{
-    let n = op64.dim();
-    assert!(n > 0, "operator must be non-empty");
-    assert_eq!(op32.dim(), n, "f32/f64 operator dimension mismatch");
-    RUNS.incr();
-    MIXED_RUNS.incr();
-    let _span = Span::start(&RUN_NS);
-    // --- Phase A: f32 iterations. Same start-up as the f64 driver:
-    // draw, fold into the operator's range, normalize-or-bail.
-    let mut v32: Vec<f32> = (0..n).map(|_| (rng.random::<f64>() - 0.5) as f32).collect();
-    let mut w32 = vec![0.0f32; n];
-    op32.apply32(&v32, &mut w32);
-    if norm2_32(&w32) > 1e-6 {
-        std::mem::swap(&mut v32, &mut w32);
-    }
-    if normalize32(&mut v32) == 0.0 {
-        return PowerResult {
-            eigenvalue: 0.0,
-            vector: v32.iter().map(|&x| f64::from(x)).collect(),
-            residual: 0.0,
-            iterations: 0,
-            converged: true,
-        };
-    }
-    let f32_tol = opts.tol.max(F32_RESIDUAL_FLOOR);
-    let mut iterations = 0;
-    let mut best_residual = f64::INFINITY;
-    let mut stalled_for = 0usize;
-    let mut check_every = F32_CHECK_EVERY;
-    // ‖v32‖ is tracked, not enforced: the scale pass that would keep
-    // the iterate unit costs as much as the matvec's own pre-scale,
-    // so the iterate is only rescaled once its norm leaves [1/4, 4)
-    // (rare for walk operators, whose spectrum lies in [−1, 1]); the
-    // measurements below divide the tracked drift out instead.
-    let mut v_norm = 1.0f64;
-    while iterations < opts.max_iter {
-        iterations += 1;
-        ITERS.incr();
-        MIXED_F32_ITERS.incr();
-        op32.apply32(&v32, &mut w32);
-        let w_norm = norm2_32(&w32);
-        if w_norm == 0.0 {
-            // iterate collapsed in f32; promote and let f64 decide
-            break;
-        }
-        // the budget's final iterate is always measured so the
-        // reported residual is never more than `check_every` stale
-        if iterations % check_every == 0 || iterations == opts.max_iter {
-            // Rayleigh data for the *unit* iterate v̂ = v/‖v‖: with
-            // w = Op·v this is λ = v·w/‖v‖² and ‖Op·v̂ − λv̂‖ =
-            // ‖w − λv‖/‖v‖, one fused pass each.
-            let lambda32 = dot32(&v32, &w32) / (v_norm * v_norm);
-            let residual32 = resid_norm32(&w32, &v32, lambda32) / v_norm;
-            if residual32 < best_residual * F32_STALL_IMPROVEMENT {
-                best_residual = residual32;
-                stalled_for = 0;
-            } else {
-                stalled_for += 1;
-            }
-            if iterations % TRACE_EVERY == 0 {
-                obs_debug!(
-                    "linalg.power",
-                    "mixed iter {iterations} (f32): lambda {lambda32:.8} residual {residual32:.3e}"
-                );
-            }
-            if residual32 < f32_tol {
-                break;
-            }
-            // Stall only counts inside f32 noise territory: a slowly
-            // but genuinely converging residual at 1e-2 should stay on
-            // the cheap path — that is the whole point of the f32
-            // phase. Near the floor every iterate is measured again.
-            if residual32 < F32_STALL_CEILING {
-                check_every = 1;
-                if stalled_for >= F32_STALL_WINDOW {
-                    obs_debug!(
-                        "linalg.power",
-                        "mixed iter {iterations}: f32 residual stalled at {residual32:.3e}; \
-                         promoting"
-                    );
-                    break;
-                }
-            }
-        }
-        v_norm = if (0.25..4.0).contains(&w_norm) {
-            w_norm
-        } else {
-            scale32(&mut w32, (1.0 / w_norm) as f32);
-            1.0
-        };
-        std::mem::swap(&mut v32, &mut w32);
-    }
-    // --- Phase B: promote and correct in f64. ---
-    let mut v: Vec<f64> = v32.iter().map(|&x| f64::from(x)).collect();
-    normalize(&mut v); // divides out the tracked phase-A norm drift
-    let mut lambda;
-    let mut residual;
-    let mut w = vec![0.0; n];
-    let mut resid = vec![0.0; n];
-    loop {
-        // First pass is the uncounted Rayleigh polish / measurement;
-        // subsequent passes are counted f64 correction iterations.
-        op64.apply(&v, &mut w);
-        lambda = dot(&v, &w);
-        resid.copy_from_slice(&w);
-        axpy(-lambda, &v, &mut resid);
-        residual = norm2(&resid);
-        if residual < opts.tol || iterations >= opts.max_iter {
-            break;
-        }
-        iterations += 1;
-        ITERS.incr();
-        if iterations % TRACE_EVERY == 0 {
-            obs_debug!(
-                "linalg.power",
-                "mixed iter {iterations} (f64): lambda {lambda:.8} residual {residual:.3e}"
-            );
-        }
-        if normalize(&mut w) == 0.0 {
-            lambda = 0.0;
-            residual = 0.0;
-            break;
-        }
-        std::mem::swap(&mut v, &mut w);
-    }
-    PowerResult {
-        eigenvalue: lambda,
-        vector: v,
-        residual,
-        iterations,
-        converged: residual < opts.tol,
-    }
-}
-
 /// Result of [`spectral_radius_in_complement`]: the modulus estimate
 /// together with the provenance callers need to report honestly.
 #[derive(Debug, Clone, Copy)]
@@ -351,31 +162,6 @@ pub fn spectral_radius_in_complement<Op: LinearOp, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> SpectralRadius {
     let r = power_iteration(op, opts, rng);
-    radius_from_result(op, opts, r)
-}
-
-/// Mixed-precision counterpart of [`spectral_radius_in_complement`]:
-/// runs [`power_iteration_mixed`] and applies the same f64 two-step
-/// Rayleigh fallback when the one-step residual stalls on a ±pair.
-pub fn spectral_radius_in_complement_mixed<Op64, Op32, R>(
-    op64: &Op64,
-    op32: &Op32,
-    opts: PowerOptions,
-    rng: &mut R,
-) -> SpectralRadius
-where
-    Op64: LinearOp,
-    Op32: LinearOpF32,
-    R: Rng + ?Sized,
-{
-    let r = power_iteration_mixed(op64, op32, opts, rng);
-    radius_from_result(op64, opts, r)
-}
-
-/// Shared tail of the radius estimators: accept a converged one-step
-/// result, otherwise fall back to the two-step Rayleigh quotient
-/// (always in f64 — the fallback is two applications, not a loop).
-fn radius_from_result<Op: LinearOp>(op: &Op, opts: PowerOptions, r: PowerResult) -> SpectralRadius {
     if r.converged {
         return SpectralRadius {
             radius: r.eigenvalue.abs(),
@@ -519,79 +305,6 @@ mod tests {
         let r = power_iteration(&op, PowerOptions::default(), &mut rng);
         assert_eq!(r.eigenvalue, 0.0);
         assert!(r.converged);
-    }
-
-    /// Runs `f` on the f64 and f32 walk operators of `g` with λ₁
-    /// deflated; the deflation bases live on this frame.
-    fn with_deflated_pair<T>(
-        g: &socmix_graph::Graph,
-        f: impl FnOnce(
-            &DeflatedOp<'_, SymmetricWalkOp<'_>>,
-            &crate::op::DeflatedOpF32<'_, crate::op::SymmetricWalkOpF32<'_>>,
-        ) -> T,
-    ) -> T {
-        use crate::kernel::KernelConfig;
-        use crate::op::{DeflatedOpF32, SymmetricWalkOpF32};
-        use socmix_par::Pool;
-        let sop = SymmetricWalkOp::new(g);
-        let basis = vec![sop.top_eigenvector()];
-        let sop32 = SymmetricWalkOpF32::with_kernel(g, Pool::serial(), KernelConfig::mixed_f32());
-        let basis32 = vec![sop32.top_eigenvector32()];
-        f(
-            &DeflatedOp::new(sop, &basis),
-            &DeflatedOpF32::new(sop32, &basis32),
-        )
-    }
-
-    #[test]
-    fn mixed_power_matches_dense_slem() {
-        let g = GraphBuilder::from_edges([
-            (0, 1),
-            (1, 2),
-            (2, 0),
-            (2, 3),
-            (3, 4),
-            (4, 5),
-            (5, 3),
-            (1, 4),
-        ])
-        .build();
-        let expect = slem_dense(&g);
-        let mut rng = StdRng::seed_from_u64(8);
-        let mu = with_deflated_pair(&g, |defl, defl32| {
-            spectral_radius_in_complement_mixed(defl, defl32, PowerOptions::default(), &mut rng)
-        });
-        assert_close(mu.radius, expect, 1e-6);
-        assert!(mu.converged);
-        assert!(mu.iterations > 0 && mu.iterations < PowerOptions::default().max_iter);
-    }
-
-    #[test]
-    fn mixed_power_bipartite_star() {
-        let g = GraphBuilder::from_edges([(0, 1), (0, 2), (0, 3), (0, 4)]).build();
-        let mut rng = StdRng::seed_from_u64(9);
-        let mu = with_deflated_pair(&g, |defl, defl32| {
-            spectral_radius_in_complement_mixed(defl, defl32, PowerOptions::default(), &mut rng)
-        });
-        assert_close(mu.radius, 1.0, 1e-6);
-        assert!(mu.converged);
-    }
-
-    #[test]
-    fn mixed_budget_respected() {
-        let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0), (2, 3)]).build();
-        let mut rng = StdRng::seed_from_u64(10);
-        let opts = PowerOptions {
-            max_iter: 1,
-            tol: 1e-15,
-        };
-        let r = with_deflated_pair(&g, |defl, defl32| {
-            power_iteration_mixed(defl, defl32, opts, &mut rng)
-        });
-        assert_eq!(r.iterations, 1);
-        assert!(!r.converged);
-        // the uncounted polish still reports an honest f64 residual
-        assert!(r.residual.is_finite() && r.residual > 0.0);
     }
 
     #[test]

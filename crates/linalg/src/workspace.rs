@@ -98,10 +98,8 @@ pub fn with_scratch<R>(n: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     r
 }
 
-/// Allocations served by [`ScratchArena::alloc_f64`]/[`alloc_f32`]
-/// (bumps, not heap calls — compare against `linalg.arena.slabs`).
-///
-/// [`alloc_f32`]: ScratchArena::alloc_f32
+/// Allocations served by [`ScratchArena::alloc_f64`] (bumps, not heap
+/// calls — compare against `linalg.arena.slabs`).
 static ARENA_ALLOCS: Counter = Counter::new("linalg.arena.allocs");
 /// Slabs the arenas actually pulled from the global allocator.
 static ARENA_SLABS: Counter = Counter::new("linalg.arena.slabs");
@@ -121,11 +119,10 @@ const MAX_RETAINED_WORDS: usize = 1 << 23; // 64 MiB
 /// A per-thread bump arena for block-sized walk buffers.
 ///
 /// The buffer pool above is sized for the O(n) scratch vectors of the
-/// serial operators; the batch evolver and the blocked kernels need
-/// *block*-shaped buffers (`n × B` ping-pong blocks, per-segment
-/// accumulators) whose sizes vary call to call, which would defeat the
-/// pool's size-class reuse and put `malloc`/`free` back on the hot
-/// path. An arena checkout is a cursor bump: allocations within one
+/// serial operators; the batch evolver needs *block*-shaped buffers
+/// (`n × B` ping-pong blocks) whose sizes vary call to call, which
+/// would defeat the pool's size-class reuse and put `malloc`/`free`
+/// back on the hot path. An arena checkout is a cursor bump: allocations within one
 /// [`with_arena`] scope are disjoint sub-slices of a few long-lived
 /// slabs, and the whole scope is released by moving the cursor back.
 ///
@@ -204,19 +201,6 @@ impl ScratchArena {
         // outlives the returned borrow); `f64` has the same size and
         // alignment as the `u64` slab words, and every byte is
         // initialized by the fill below.
-        let s = unsafe { std::slice::from_raw_parts_mut(p, n) };
-        s.fill(0.0);
-        s
-    }
-
-    /// A zeroed `f32` slice of length `n`, valid for the enclosing
-    /// [`with_arena`] scope (disjoint borrows — see [`Self::alloc_f64`]).
-    #[allow(clippy::mut_from_ref)]
-    pub fn alloc_f32(&self, n: usize) -> &mut [f32] {
-        let p = self.alloc_words(n.div_ceil(2)).cast::<f32>();
-        // SAFETY: `⌈n/2⌉` words cover `n` `f32`s; the storage is
-        // exclusive (same argument as `alloc_f64`), `f32`'s alignment
-        // divides `u64`'s, and the fill below initializes every byte.
         let s = unsafe { std::slice::from_raw_parts_mut(p, n) };
         s.fill(0.0);
         s
@@ -340,10 +324,6 @@ mod tests {
             assert!(y.iter().all(|&v| v == 0.0), "must not alias x");
             y.fill(2.0);
             assert!(x.iter().all(|&v| v == 1.0));
-            let z = a.alloc_f32(64);
-            assert!(z.iter().all(|&v| v == 0.0));
-            z.fill(3.0);
-            assert!(x.iter().all(|&v| v == 1.0) && y.iter().all(|&v| v == 2.0));
         });
     }
 

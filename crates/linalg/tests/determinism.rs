@@ -16,10 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use socmix_gen::ba::barabasi_albert;
 use socmix_graph::{Graph, GraphBuilder};
-use socmix_linalg::{
-    DeflatedOp, KernelConfig, LinearOp, LinearOpF32, MultiLinearOp, MultiVec, SymmetricWalkOp,
-    SymmetricWalkOpF32, WalkOp,
-};
+use socmix_linalg::{DeflatedOp, LinearOp, MultiLinearOp, MultiVec, SymmetricWalkOp, WalkOp};
 use socmix_par::Pool;
 
 /// Mildly irregular test graph: a BA preferential-attachment run,
@@ -146,109 +143,6 @@ fn empty_graph_all_widths() {
     for t in WIDTHS {
         let y = WalkOp::with_pool(&g, Pool::with_threads(t)).apply_vec(&[]);
         assert!(y.is_empty());
-    }
-}
-
-#[test]
-fn blocked_kernel_bitwise_identical_to_scalar() {
-    // The cache-blocked f64 gather visits each row's (sorted) columns
-    // in the same ascending order as the scalar kernel, so it must be
-    // bit-for-bit equal — including with a tiny column tile that
-    // forces the multi-tile segmented path, and across pool widths.
-    let g = ba_graph();
-    let x = probe_vector(g.num_nodes());
-    let scalar = WalkOp::with_kernel(&g, Pool::serial(), KernelConfig::scalar()).apply_vec(&x);
-    for tile in [usize::MAX, 64, 7, 1] {
-        for t in [1usize, 4] {
-            let cfg = KernelConfig::blocked().col_tile(tile);
-            let pool = if t == 1 {
-                Pool::serial()
-            } else {
-                Pool::with_threads(t)
-            };
-            let y = WalkOp::with_kernel(&g, pool, cfg).apply_vec(&x);
-            assert_bitwise_eq(&scalar, &y, "blocked WalkOp");
-        }
-    }
-    let s_scalar =
-        SymmetricWalkOp::with_kernel(&g, Pool::serial(), KernelConfig::scalar()).apply_vec(&x);
-    for tile in [usize::MAX, 16, 3] {
-        let cfg = KernelConfig::blocked().col_tile(tile);
-        let y = SymmetricWalkOp::with_kernel(&g, Pool::serial(), cfg).apply_vec(&x);
-        assert_bitwise_eq(&s_scalar, &y, "blocked SymmetricWalkOp");
-    }
-}
-
-#[test]
-fn blocked_apply_multi_bitwise_identical_to_scalar() {
-    let g = ba_graph();
-    let n = g.num_nodes();
-    let width = 5;
-    let mut x = MultiVec::zeros(n, width);
-    for c in 0..width {
-        let col: Vec<f64> = probe_vector(n).iter().map(|v| v * (c + 1) as f64).collect();
-        x.set_column(c, &col);
-    }
-    let mut scalar = MultiVec::zeros(n, width);
-    WalkOp::with_kernel(&g, Pool::serial(), KernelConfig::scalar()).apply_multi(
-        &x,
-        &mut scalar,
-        width,
-    );
-    for tile in [usize::MAX, 128, 2] {
-        for t in [1usize, 8] {
-            let pool = if t == 1 {
-                Pool::serial()
-            } else {
-                Pool::with_threads(t)
-            };
-            let op = WalkOp::with_kernel(&g, pool, KernelConfig::blocked().col_tile(tile));
-            let mut y = MultiVec::zeros(n, width);
-            op.apply_multi(&x, &mut y, width);
-            assert_bitwise_eq(scalar.as_slice(), y.as_slice(), "blocked apply_multi");
-        }
-    }
-}
-
-#[test]
-fn f32_kernel_tracks_f64_within_tolerance() {
-    // The mixed-precision contract: per-application error within
-    // ~1e-6 of the f64 operator on unit-scale inputs.
-    let g = ba_graph();
-    let n = g.num_nodes();
-    let x = probe_vector(n);
-    let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-    let f64_op = SymmetricWalkOp::with_pool(&g, Pool::serial());
-    let want = f64_op.apply_vec(&x);
-    for tile in [usize::MAX, 32] {
-        let cfg = KernelConfig::mixed_f32().col_tile(tile);
-        let op32 = SymmetricWalkOpF32::with_kernel(&g, Pool::serial(), cfg);
-        let got = op32.apply_vec32(&x32);
-        for (i, (w, g32)) in want.iter().zip(&got).enumerate() {
-            assert!(
-                (w - f64::from(*g32)).abs() <= 1e-6,
-                "row {i}: f32 {g32} vs f64 {w} (tile {tile})"
-            );
-        }
-    }
-}
-
-#[test]
-fn f32_kernel_bitwise_identical_across_pool_widths() {
-    // f32 results are approximate relative to f64, but they must
-    // still be deterministic: pool width never changes bits.
-    let g = ba_graph();
-    let n = g.num_nodes();
-    let x32: Vec<f32> = probe_vector(n).iter().map(|&v| v as f32).collect();
-    let serial = SymmetricWalkOpF32::with_kernel(&g, Pool::serial(), KernelConfig::mixed_f32())
-        .apply_vec32(&x32);
-    for t in WIDTHS {
-        let par =
-            SymmetricWalkOpF32::with_kernel(&g, Pool::with_threads(t), KernelConfig::mixed_f32())
-                .apply_vec32(&x32);
-        for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "f32 row {i} differs ({a} vs {b})");
-        }
     }
 }
 

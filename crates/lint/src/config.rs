@@ -265,7 +265,6 @@ impl Config {
                     "crates/par/src/shard/proc.rs",
                     "crates/core/src/probe.rs",
                     "crates/bench/src/manifest.rs",
-                    "crates/linalg/src/kernel.rs",
                     "crates/serve/src/knobs.rs",
                 ]),
             },
@@ -365,7 +364,6 @@ impl Config {
                 "crates/par/src/lib.rs",
                 "crates/par/src/shard/mod.rs",
                 "crates/core/src/probe.rs",
-                "crates/linalg/src/kernel.rs",
                 "crates/serve/src/knobs.rs",
             ]),
         }

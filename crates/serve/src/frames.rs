@@ -22,7 +22,7 @@
 //! Replies: `0xa0` OK (JSON body), `0xa1` error (JSON `{"error"}`
 //! body), `0xa2` shed (overload; same JSON body as the HTTP 503).
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
@@ -82,6 +82,12 @@ pub(crate) fn write_shed(stream: &mut TcpStream) {
     let mut w = BufWriter::new(stream);
     let _ = frame::write_frame(&mut w, REPLY_Q_SHED, SHED_BODY.as_bytes());
     let _ = w.flush();
+}
+
+/// Reads one query frame off a shed connection (under the same
+/// payload caps as a served one) and drops it.
+pub(crate) fn discard_query<R: Read>(r: &mut R) {
+    let _ = frame::read_frame_capped(r, query_cap);
 }
 
 /// Maps a frame opcode onto the shared dispatch's (method, path).

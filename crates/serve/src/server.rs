@@ -6,9 +6,11 @@
 //! connections into a bounded queue; `threads` workers pop and serve
 //! one connection at a time (keep-alive included). Overload is
 //! explicit, never implicit: a connection arriving on a full queue is
-//! answered with a typed 503 *at accept* and dropped (`serve.shed`),
+//! answered with a typed 503 *at accept* and closed (`serve.shed`),
 //! and a request that ages past the per-request deadline — in the
-//! queue or inside a batch wait — is shed the same way. Memory stays
+//! queue or inside a batch wait — is shed the same way. A connection
+//! closed on a shed reply first has its request read (`close_shed`),
+//! so the reply is not lost to a reset. Memory stays
 //! bounded because the queue, the request body, the answer cache, and
 //! every batch are capped.
 //!
@@ -17,8 +19,8 @@
 //! `unwrap_or_else(|e| e.into_inner())`.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, BufWriter, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -53,6 +55,11 @@ pub const SHED_BODY: &str = "{\"error\":\"overloaded\",\"shed\":true}";
 /// between requests before the worker reclaims itself. Also the upper
 /// bound [`Server::shutdown`] waits for an in-flight idle connection.
 pub(crate) const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long [`close_shed`] waits, in all, for the request of a
+/// connection it closes: the longest a shed connection can hold the
+/// thread that shed it.
+const SHED_LINGER: Duration = Duration::from_millis(250);
 
 /// One rendered endpoint answer.
 pub struct ApiResponse {
@@ -588,9 +595,49 @@ fn spawn_acceptor(
                         crate::frames::write_shed(&mut rejected.stream);
                     }
                 }
+                close_shed(rejected.stream, kind);
             }
         })
         .map_err(std::io::Error::other)
+}
+
+/// Closes a connection after its shed reply without resetting it.
+///
+/// A socket closed with request bytes unread, or with some still in
+/// flight, answers with a reset, and the client can lose the reply it
+/// has not read yet. So the write half is shut first (the client reads
+/// the reply, then EOF), and the one request the client sends is read
+/// and dropped before the close: at most the HTTP head cap plus the
+/// declared body, or one capped query frame, within [`SHED_LINGER`].
+fn close_shed(stream: TcpStream, kind: ConnKind) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut r = BufReader::new(Lingering {
+        stream,
+        until: Instant::now() + SHED_LINGER,
+    });
+    match kind {
+        ConnKind::Http => {
+            let _ = http::read_request(&mut r);
+        }
+        ConnKind::Frame => crate::frames::discard_query(&mut r),
+    }
+}
+
+/// A socket whose reads share one deadline, however many there are.
+struct Lingering {
+    stream: TcpStream,
+    until: Instant,
+}
+
+impl Read for Lingering {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
 }
 
 fn worker_loop(shared: &Shared, queue: &ConnQueue, stop: &AtomicBool) {
@@ -613,7 +660,7 @@ fn serve_http_conn(shared: &Shared, stream: TcpStream, arrived: Instant) {
     };
     let mut reader = BufReader::new(stream);
 
-    // Shed without reading if the connection already aged past the
+    // Shed without serving if the connection already aged past the
     // deadline while queued.
     if arrived.elapsed() > shared.cfg.deadline {
         let resp = ApiResponse::shed();
@@ -625,6 +672,7 @@ fn serve_http_conn(shared: &Shared, stream: TcpStream, arrived: Instant) {
             &resp.body,
             false,
         );
+        close_shed(reader.into_inner(), ConnKind::Http);
         return;
     }
 

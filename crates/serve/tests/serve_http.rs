@@ -10,7 +10,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use socmix_par::shard::frame;
-use socmix_serve::frames::{OP_Q_ESCAPE, OP_Q_MIX, REPLY_Q_ERR, REPLY_Q_OK};
+use socmix_serve::frames::{OP_Q_ESCAPE, OP_Q_MIX, REPLY_Q_ERR, REPLY_Q_OK, REPLY_Q_SHED};
 use socmix_serve::{ServeConfig, Server, SHED_BODY};
 
 /// A throwaway config bound to ephemeral ports.
@@ -298,36 +298,50 @@ fn overload_sheds_with_typed_503_not_a_hang() {
     let n = hog.read(&mut buf).expect("hog gets served");
     assert!(String::from_utf8_lossy(&buf[..n]).starts_with("HTTP/1.1 200"));
 
-    // Fill the queue (this connection waits behind the hog)...
-    let queued = TcpStream::connect(addr).expect("queued connects");
+    // Fill the queue (this connection waits behind the hog, its
+    // request already sent)...
+    let request = b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n";
+    let mut queued = TcpStream::connect(addr).expect("queued connects");
+    queued.write_all(request).expect("queued request");
 
     // ...then every further connection must be shed at the door with
-    // the typed 503, immediately.
+    // the typed 503, immediately. Each client sends its whole request
+    // before it reads, and must still read the whole reply: a server
+    // that closes with the request unread resets the connection.
     std::thread::sleep(Duration::from_millis(50));
-    let mut shed_seen = 0;
-    for _ in 0..5 {
+    for i in 0..20 {
         let mut extra = TcpStream::connect(addr).expect("extra connects");
         extra
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout");
+        extra.write_all(request).expect("extra request");
         let mut reply = Vec::new();
-        extra.read_to_end(&mut reply).expect("extra gets an answer");
+        extra
+            .read_to_end(&mut reply)
+            .unwrap_or_else(|e| panic!("shed client {i} lost its reply: {e}"));
         let (status, body) = parse_reply(&reply);
-        if status == 503 {
-            assert_eq!(body, SHED_BODY, "shed body is the typed overload JSON");
-            shed_seen += 1;
-        }
+        assert_eq!(status, 503, "full queue sheds at accept (client {i})");
+        assert_eq!(body, SHED_BODY, "shed body is the typed overload JSON");
     }
-    assert!(
-        shed_seen >= 4,
-        "full queue sheds at accept, saw {shed_seen}/5"
-    );
+    // The frame listener sheds the same way.
+    let frame_addr = server.frame_addr().expect("frame listener enabled");
+    for i in 0..5 {
+        let mut extra = TcpStream::connect(frame_addr).expect("frame client connects");
+        extra
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        frame::write_frame(&mut extra, OP_Q_MIX, b"{\"graph\":\"wiki-vote\"}")
+            .expect("frame query");
+        let (op, payload) = frame::read_frame(&mut extra)
+            .unwrap_or_else(|e| panic!("shed frame client {i} lost its reply: {e}"));
+        assert_eq!(op, REPLY_Q_SHED, "frame client {i}");
+        assert_eq!(payload, SHED_BODY.as_bytes());
+    }
 
     // The queued connection outlived its 100ms deadline while the hog
     // held the worker: it must be shed too, not served stale.
     std::thread::sleep(Duration::from_millis(100));
     drop(hog);
-    let mut queued = queued;
     queued
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");

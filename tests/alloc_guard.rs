@@ -17,9 +17,7 @@ use rand::SeedableRng;
 use socmix::gen::ba::barabasi_albert;
 use socmix::graph::Graph;
 use socmix::linalg::tridiag::{tridiag_eigen, tridiag_eigen_last_row};
-use socmix::linalg::{
-    lanczos_extreme, lanczos_topk, DeflatedOp, KernelConfig, LanczosOptions, SymmetricWalkOp,
-};
+use socmix::linalg::{lanczos_extreme, lanczos_topk, DeflatedOp, LanczosOptions, SymmetricWalkOp};
 use socmix::par::Pool;
 
 thread_local! {
@@ -97,16 +95,16 @@ const TOPK_SETUP_ALLOCS: usize = 31;
 const CHECK_EVERY: usize = 25;
 
 /// The deflated walk operator of a 3,000-node BA graph on the serial
-/// pool and the blocked kernel. Debug events format a line per
-/// convergence check; the guards are about the solvers' own memory,
-/// so they pin the threshold rather than inheriting SOCMIX_LOG.
+/// pool. Debug events format a line per convergence check; the guards
+/// are about the solvers' own memory, so they pin the threshold rather
+/// than inheriting SOCMIX_LOG.
 fn graph() -> Graph {
     socmix_obs::set_log_level(socmix_obs::Level::Warn);
     barabasi_albert(3_000, 3, &mut StdRng::seed_from_u64(11))
 }
 
 fn deflated(g: &Graph) -> (SymmetricWalkOp<'_>, Vec<Vec<f64>>) {
-    let sop = SymmetricWalkOp::with_kernel(g, Pool::serial(), KernelConfig::blocked());
+    let sop = SymmetricWalkOp::with_pool(g, Pool::serial());
     let top = vec![sop.top_eigenvector()];
     (sop, top)
 }

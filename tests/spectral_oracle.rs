@@ -1,4 +1,5 @@
-//! Closed-form spectral oracles for the Lanczos drivers.
+//! Closed-form spectral oracles for the Lanczos drivers and power
+//! iteration.
 //!
 //! Each graph here has a random-walk spectrum known exactly, so the
 //! solver is checked against the truth rather than against another
@@ -8,12 +9,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use socmix::core::{Slem, SlemEstimate};
 use socmix::gen::ba::barabasi_albert;
 use socmix::gen::fixtures::{complete, complete_bipartite, cycle, path, petersen};
 use socmix::graph::{Graph, GraphBuilder};
 use socmix::linalg::vecops::{dot, norm2};
 use socmix::linalg::{
-    lanczos_extreme, lanczos_topk, DeflatedOp, LanczosOptions, LanczosResult, SymmetricWalkOp,
+    lanczos_extreme, lanczos_topk, DeflatedOp, LanczosOptions, LanczosResult, PowerOptions,
+    SymmetricWalkOp,
 };
 use std::f64::consts::PI;
 
@@ -144,6 +147,69 @@ fn path_extremes_are_cos_pi_over_n_minus_one_and_minus_one() {
             let top = (PI / (n - 1) as f64).cos();
             assert_close(&format!("P{n} top"), r.top, top);
             assert_close(&format!("P{n} bottom"), r.bottom, -1.0);
+        }
+    }
+}
+
+/// `Slem::power_iteration` estimates from the start seeds
+/// `first_seed`, `first_seed + 1` and `first_seed + 2`.
+fn power_estimates(g: &Graph, first_seed: u64) -> Vec<SlemEstimate> {
+    (first_seed..first_seed + 3)
+        .map(|seed| {
+            Slem::power_iteration(g)
+                .seed(seed)
+                .estimate()
+                .expect("a connected graph")
+        })
+        .collect()
+}
+
+#[test]
+fn power_iteration_mu_matches_closed_forms() {
+    // µ = max(λ₂, −λₙ) from the spectra above; bipartite graphs have
+    // µ = 1
+    let cases = [
+        ("C9", cycle(9), (PI / 9.0).cos()),
+        ("Q6", hypercube(6), 1.0),
+        ("Petersen", petersen(), 2.0 / 3.0),
+        ("K3,3", complete_bipartite(3, 3), 1.0),
+        ("K5", complete(5), 1.0 / 4.0),
+        ("K13", complete(13), 1.0 / 12.0),
+        ("K100", complete(100), 1.0 / 99.0),
+        ("P5", path(5), 1.0),
+        ("P13", path(13), 1.0),
+    ];
+    for (seed, (name, g, mu)) in (60..).step_by(3).zip(cases) {
+        for est in power_estimates(&g, seed) {
+            assert!(
+                est.converged,
+                "{name}: not converged after {} iterations",
+                est.iterations
+            );
+            assert_close(&format!("{name} power µ"), est.mu, mu);
+        }
+    }
+}
+
+#[test]
+fn power_iteration_reports_unconverged_and_low_at_its_cap() {
+    // C₂₀₁ and P₁₀₀ have their two largest |λ| too close for the
+    // geometric rate to reach the tolerance within the iteration cap;
+    // what power returns there must say so and must not overshoot µ
+    let cases = [
+        ("C201", cycle(201), (PI / 201.0).cos()),
+        ("P100", path(100), 1.0),
+    ];
+    let cap = PowerOptions::default().max_iter;
+    for (seed, (name, g, mu)) in (90..).step_by(3).zip(cases) {
+        for est in power_estimates(&g, seed) {
+            assert!(!est.converged, "{name}: converged, µ {}", est.mu);
+            assert_eq!(est.iterations, cap, "{name}");
+            assert!(
+                est.mu <= mu + 1e-12,
+                "{name}: µ {} above the closed form {mu}",
+                est.mu
+            );
         }
     }
 }
