@@ -6,11 +6,13 @@
 //! times every (dispatch, concurrency) cell once over real TCP against
 //! two in-process servers sharing one graph cache — one batching, one
 //! with `batch_max = 1` — so clock drift and cache state land on every
-//! variant equally. Batching has no timer: a probe that finds no batch
-//! of its key computing computes at once, and probes arriving during
-//! a compute form the next batch. Closed-loop clients whose requests
-//! arrive together are its worst case, since the first arrival
-//! computes alone and the rest wait for it. Clients are
+//! variant equally. Every `/escape` answer is one entry of the
+//! (graph, `w`) escape table, which each server builds on its first
+//! probe at that `w` (in the untimed warm-up) and keeps; a timed probe
+//! is a table lookup plus transport, and a batch shares one lookup.
+//! Batching has no timer: a probe that finds no batch of its key
+//! computing computes at once, and probes arriving during a compute
+//! form the next batch. Clients are
 //! closed-loop (each keeps exactly one request in flight over a
 //! keep-alive connection), so QPS here is throughput at saturation,
 //! not an open-loop arrival rate. Latency quantiles (p50/p95/p99) ride
@@ -36,9 +38,9 @@ use socmix_serve::{ServeConfig, Server};
 const REQS_PER_CLIENT: usize = 30;
 const ROUNDS: usize = 5;
 const CONCURRENCIES: [usize; 2] = [1, 8];
-/// Walk length for the `/escape` probes: long enough that the answer
-/// is real work (hundreds of matvec applications), so coalescing into
-/// one `apply_multi` has something to amortize.
+/// Walk length for the `/escape` probes. A server's first probe
+/// builds the table with this many matvecs; after that the length no
+/// longer changes what a probe costs.
 const ESCAPE_W: u64 = 256;
 /// Connections fired at once in the overload regime.
 const BURST: usize = 16;
@@ -220,7 +222,7 @@ fn main() {
     )
     .expect("start per-request server");
     // Small but real graph: ~350 nodes, enough edges that an
-    // ESCAPE_W-step probe is genuine matvec work.
+    // ESCAPE_W-step table build is genuine matvec work.
     for srv in [&batched, &per_req] {
         let stream = TcpStream::connect(srv.local_addr()).expect("connect for load");
         let mut writer = stream.try_clone().expect("clone");
@@ -342,8 +344,8 @@ fn main() {
     }
     out.push_str("]\n");
 
-    // The point of batching: strictly better throughput once enough
-    // clients are in flight to coalesce.
+    // Batched against per-request throughput. With every answer read
+    // from a kept table, a batch saves only lookups.
     let q_of = |id: &str| {
         rows.iter()
             .find(|r| r.id == id)

@@ -1,11 +1,12 @@
 //! Natural (group-commit) batching of concurrent probe queries.
 //!
 //! Escape-probability probes against the same (graph, walk length)
-//! pair are embarrassingly batchable: each is one column of a
-//! [`MultiLinearOp::apply_multi`](socmix_linalg::MultiLinearOp) block,
-//! and the batched kernel's per-column accumulation order matches the
-//! width-1 kernel exactly, so batching changes *nothing* about the
-//! answer bits — only how many CSR traversals the server pays.
+//! pair all read one escape table
+//! ([`queries::escape_table`](crate::queries::escape_table)), so a
+//! batch shares one table lookup, or for the key's first batch one
+//! build, and batching changes *nothing* about the answer bits. As one
+//! batch per key computes at a time, probes that arrive during a build
+//! wait for it and then find the table instead of building it again.
 //!
 //! The protocol has no timer. A query whose key has no batch computing
 //! computes at once, alone. Queries that arrive while a batch of their

@@ -26,15 +26,16 @@
 //!
 //! # Throughput and overload
 //!
-//! Concurrent escape probes against the same (graph, `w`) coalesce
-//! into one [`socmix_linalg::MultiLinearOp::apply_multi`] batch
-//! ([`batch`]). Batching is natural, with no timer: a lone probe
-//! computes at once, and probes that arrive while a batch computes
-//! form the next one. The batched kernel's exactness contract makes
-//! the coalesced answers bit-identical to per-request dispatch, so
-//! batching is purely a throughput lever (`SOCMIX_SERVE_BATCH_MAX=1`
-//! turns it off). `/mix` answers cache by content-hash key
-//! ([`cache`]). Overload is explicit: a bounded accept queue sheds at
+//! Every escape probe against the same (graph, `w`) reads one escape
+//! table, P^w·1_S, built by the first probe and kept in a store with a
+//! fixed byte budget ([`cache`]). Concurrent probes coalesce into
+//! batches ([`batch`]) that share one table lookup, or one build.
+//! Batching is natural, with no timer: a lone probe computes at once,
+//! and probes that arrive while a batch computes form the next one, so
+//! concurrent first probes build the table once. Batched and
+//! per-request answers read the same table and are bit-identical
+//! (`SOCMIX_SERVE_BATCH_MAX=1` turns batching off). `/mix` answers
+//! cache by content-hash key ([`cache`]). Overload is explicit: a bounded accept queue sheds at
 //! the door with a typed 503 (`serve.shed`), and requests that age
 //! past the per-request deadline shed instead of queueing unboundedly
 //! ([`server`]).

@@ -1,5 +1,10 @@
 //! The three query kernels behind the server's endpoints.
 //!
+//! `/mix` solves for µ, `/admit` runs SybilLimit, and `/escape` builds
+//! the escape table of a (graph, `w`) pair, whose entries answer every
+//! start node at once ([`escape_table`]); the server keeps the tables
+//! and looks each probe up.
+//!
 //! Everything here returns `Result<_, String>` — the string becomes a
 //! typed JSON error body, never a panic. This module is inside the
 //! SL005 hot-path lint scope: graph and parameter validation happens
@@ -8,7 +13,7 @@
 //! indexes by node id, and so on).
 
 use socmix_core::{MixingBounds, Slem};
-use socmix_linalg::{MultiLinearOp, MultiVec, WalkOp};
+use socmix_linalg::{LinearOp, WalkOp};
 use socmix_obs::{Counter, Histogram, Span, Value};
 use socmix_par::Pool;
 use socmix_sybil::sybillimit::Verification;
@@ -17,7 +22,7 @@ use socmix_sybil::{SybilLimit, SybilLimitParams};
 use crate::catalog::LoadedGraph;
 
 static MIX_NS: Histogram = Histogram::new("serve.query.mix_ns");
-static ESCAPE_NS: Histogram = Histogram::new("serve.query.escape_ns");
+static TABLE_NS: Histogram = Histogram::new("serve.table.build_ns");
 static ADMIT_NS: Histogram = Histogram::new("serve.query.admit_ns");
 static SLEM_SOLVES: Counter = Counter::new("serve.slem_solves");
 
@@ -77,16 +82,44 @@ pub fn check_escape(lg: &LoadedGraph, nodes: &[u64], w: usize) -> Result<(), Str
     }
 }
 
-/// Exact escape-probe batch: for each start node, the probability that
-/// a `w`-step walk from it ends inside the Sybil region (non-
-/// absorbing; the "is inside at step w" event, one column of mass
-/// evolution per query).
+/// The escape table of the loaded graph's attacked twin at walk
+/// length `w`: h_w = P^w·1_S, whose entry v is the probability that a
+/// `w`-step walk from v ends inside the Sybil region S (non-absorbing:
+/// the "is inside at step w" event). One table answers every start
+/// node.
 ///
-/// All columns evolve through the same
-/// [`apply_multi`](MultiLinearOp::apply_multi) sweeps, whose exactness
-/// contract guarantees each column matches the width-1 serial result
-/// bit-for-bit — so batched and per-request dispatch serve identical
-/// bytes.
+/// It is built backwards. With x_t = D·h_t, the recurrence
+/// h_{t+1} = P·h_t reads x_{t+1} = A·D⁻¹·x_t, which is exactly
+/// [`WalkOp::apply`]. So the walk starts from x_0 = D·1_S, takes `w`
+/// applies and ends with h_w = D⁻¹·x_w. An isolated node gets 0, as
+/// the forward walk gave it: the operator drops an isolated node's
+/// mass. Each apply gives the same bits at every pool width and shard
+/// count, so the table does too.
+pub fn escape_table(lg: &LoadedGraph, w: usize, pool: Pool) -> Result<Vec<f64>, String> {
+    check_escape(lg, &[], w)?;
+    let attacked = &lg.attacked;
+    let g = &attacked.graph;
+    let n = g.num_nodes();
+    let _span = Span::start(&TABLE_NS);
+    let op = WalkOp::with_pool(g, pool);
+    let mut x = vec![0.0f64; n];
+    for (v, xv) in x.iter_mut().enumerate().skip(attacked.honest) {
+        *xv = g.degree(v as u32) as f64;
+    }
+    let mut y = vec![0.0f64; n];
+    for _ in 0..w {
+        op.apply(&x, &mut y);
+        std::mem::swap(&mut x, &mut y);
+    }
+    for (h, inv) in x.iter_mut().zip(op.inv_degrees()) {
+        *h *= inv;
+    }
+    Ok(x)
+}
+
+/// Escape-probe batch: each start node's entry of [`escape_table`]. A
+/// batch and a lone probe read the same table, so batched and
+/// per-request dispatch serve identical bytes.
 pub fn escape_batch(
     lg: &LoadedGraph,
     nodes: &[u64],
@@ -94,31 +127,20 @@ pub fn escape_batch(
     pool: Pool,
 ) -> Result<Vec<f64>, String> {
     check_escape(lg, nodes, w)?;
-    let attacked = &lg.attacked;
-    let n = attacked.graph.num_nodes();
-    let _span = Span::start(&ESCAPE_NS);
-    let width = nodes.len();
-    let mut x = MultiVec::zeros(n, width);
-    let mut y = MultiVec::zeros(n, width);
-    for (c, &node) in nodes.iter().enumerate() {
-        x.set(node as usize, c, 1.0);
-    }
-    let op = WalkOp::with_pool(&attacked.graph, pool);
-    for _ in 0..w {
-        op.apply_multi(&x, &mut y, width);
-        std::mem::swap(&mut x, &mut y);
-    }
-    // Mass inside the Sybil region at step w, per column. Row-major
-    // summation in row order: identical association for width 1 and
-    // width k, keeping the bit-equivalence contract end to end.
-    let mut probs = vec![0.0f64; width];
-    for row in attacked.honest..n {
-        let vals = x.row(row);
-        for (c, p) in probs.iter_mut().enumerate() {
-            *p += vals[c];
-        }
-    }
-    Ok(probs)
+    entries(&escape_table(lg, w, pool)?, nodes)
+}
+
+/// The entries of an escape table at `nodes`, in order.
+pub(crate) fn entries(table: &[f64], nodes: &[u64]) -> Result<Vec<f64>, String> {
+    nodes
+        .iter()
+        .map(|&node| {
+            usize::try_from(node)
+                .ok()
+                .and_then(|v| table.get(v).copied())
+                .ok_or_else(|| format!("node {node} is outside the escape table"))
+        })
+        .collect()
 }
 
 /// Renders one `/escape` response body from a batch-computed value.
@@ -216,13 +238,118 @@ fn render_admit(lg: &LoadedGraph, verifier: u64, suspects: &[u64], v: &Verificat
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use socmix_graph::GraphBuilder;
+    use socmix_linalg::{MultiLinearOp, MultiVec};
+    use socmix_sybil::AttackedGraph;
     use std::sync::Arc;
 
-    fn tiny() -> Arc<LoadedGraph> {
+    fn wiki_vote(scale: f64) -> Arc<LoadedGraph> {
         let dir = std::env::temp_dir().join(format!("socmix-serve-q-{}", std::process::id()));
         Catalog::at(dir)
-            .load("wiki-vote", 0.02, 3)
-            .expect("tiny graph")
+            .load("wiki-vote", scale, 3)
+            .expect("wiki-vote graph")
+    }
+
+    fn tiny() -> Arc<LoadedGraph> {
+        wiki_vote(0.02)
+    }
+
+    /// Honest nodes 0..6 — a triangle 0-1-2, a path 2-3, node 4 pendant
+    /// on 3, node 5 isolated — and a Sybil triangle 6-7-8 behind the
+    /// attack edge 3-6.
+    fn pendant_and_isolated() -> LoadedGraph {
+        let honest = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)];
+        let sybil = [(6, 7), (7, 8), (8, 6), (3, 6)];
+        let mut hb = GraphBuilder::from_edges(honest);
+        hb.grow_to(6);
+        let attacked = GraphBuilder::from_edges(honest.into_iter().chain(sybil)).build();
+        assert_eq!(attacked.degree(5), 0, "node 5 is isolated");
+        LoadedGraph {
+            slug: "pendant".to_string(),
+            name: "pendant",
+            key: 1,
+            scale: 1.0,
+            seed: 0,
+            graph: Arc::new(hb.build()),
+            attacked: Arc::new(AttackedGraph {
+                graph: attacked,
+                honest: 6,
+            }),
+        }
+    }
+
+    /// The forward point-mass walk the escape table replaced, kept as
+    /// its oracle: one column per start node evolves through `w`
+    /// `apply_multi` sweeps, and the mass inside the Sybil region is
+    /// summed at step `w`.
+    fn forward_escape(lg: &LoadedGraph, nodes: &[u64], w: usize) -> Vec<f64> {
+        let attacked = &lg.attacked;
+        let n = attacked.graph.num_nodes();
+        let width = nodes.len();
+        let mut x = MultiVec::zeros(n, width);
+        let mut y = MultiVec::zeros(n, width);
+        for (c, &node) in nodes.iter().enumerate() {
+            x.set(node as usize, c, 1.0);
+        }
+        let op = WalkOp::with_pool(&attacked.graph, Pool::serial());
+        for _ in 0..w {
+            op.apply_multi(&x, &mut y, width);
+            std::mem::swap(&mut x, &mut y);
+        }
+        let mut probs = vec![0.0f64; width];
+        for row in attacked.honest..n {
+            for (p, v) in probs.iter_mut().zip(x.row(row)) {
+                *p += v;
+            }
+        }
+        probs
+    }
+
+    #[test]
+    fn escape_table_matches_the_forward_walk_at_every_honest_node() {
+        let graphs = [
+            wiki_vote(0.02),
+            wiki_vote(0.05),
+            Arc::new(pendant_and_isolated()),
+        ];
+        for lg in &graphs {
+            let honest: Vec<u64> = (0..lg.attacked.honest as u64).collect();
+            for w in [1, 2, 3, 16, 32, 257] {
+                let table = escape_batch(lg, &honest, w, Pool::serial()).expect("table");
+                let forward = forward_escape(lg, &honest, w);
+                for (node, (t, f)) in honest.iter().zip(table.iter().zip(&forward)) {
+                    assert!(
+                        (t - f).abs() <= 1e-12,
+                        "{} w={w} node {node}: table {t} against forward walk {f}",
+                        lg.slug
+                    );
+                }
+            }
+        }
+        // The small graph's corner cases, by value: the isolated node
+        // never escapes, and a one-step walk escapes only from the
+        // attack edge's end (node 3 has three neighbours).
+        let lg = &graphs[2];
+        let one = escape_batch(lg, &[0, 3, 4, 5], 1, Pool::serial()).expect("w=1");
+        assert_eq!(one, vec![0.0, 1.0 / 3.0, 0.0, 0.0]);
+        let long = escape_batch(lg, &[4, 5], 257, Pool::serial()).expect("w=257");
+        assert!(long[0] > 0.0 && long[1] == 0.0, "{long:?}");
+    }
+
+    #[test]
+    fn escape_table_is_bit_identical_across_pool_widths() {
+        let lg = wiki_vote(0.05);
+        let serial = escape_table(&lg, 32, Pool::serial()).expect("serial");
+        for threads in [2, 3] {
+            let pooled = escape_table(&lg, 32, Pool::with_threads(threads)).expect("pooled");
+            assert!(
+                serial
+                    .iter()
+                    .zip(&pooled)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

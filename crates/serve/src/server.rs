@@ -11,8 +11,8 @@
 //! queue or inside a batch wait — is shed the same way. A connection
 //! closed on a shed reply first has its request read (`close_shed`),
 //! so the reply is not lost to a reset. Memory stays
-//! bounded because the queue, the request body, the answer cache, and
-//! every batch are capped.
+//! bounded because the queue, the request body, the answer cache, the
+//! escape-table store, and every batch are capped.
 //!
 //! This module is on the request path (SL005 hot-path scope): no
 //! `unwrap`/`expect`; mutexes recover from poisoning via
@@ -30,7 +30,7 @@ use socmix_obs::{Counter, Histogram, Span, Value};
 use socmix_par::Pool;
 
 use crate::batch::{BatchResult, Batcher};
-use crate::cache::{answer_key, AnswerCache, DEFAULT_CAP};
+use crate::cache::{answer_key, AnswerCache, TableCache, DEFAULT_CAP, TABLE_BUDGET};
 use crate::catalog::{Catalog, LoadedGraph};
 use crate::http::{self, ParseError, Request};
 use crate::knobs::ServeConfig;
@@ -42,9 +42,9 @@ static HTTP_CONNS: Counter = Counter::new("serve.http_conns");
 static FRAME_CONNS: Counter = Counter::new("serve.frame_conns");
 static REQUEST_NS: Histogram = Histogram::new("serve.request_ns");
 
-/// Query class discriminants folded into answer-cache/batch keys so a
-/// `/mix` key can never collide with an `/escape` key for the same
-/// graph.
+/// Query class discriminants folded into answer-cache, table and batch
+/// keys so a `/mix` key can never collide with an `/escape` key for the
+/// same graph.
 const CLASS_MIX: u64 = 1;
 const CLASS_ESCAPE: u64 = 2;
 
@@ -114,6 +114,7 @@ pub(crate) struct Shared {
     pub cfg: ServeConfig,
     pub catalog: Catalog,
     pub answers: AnswerCache,
+    pub tables: TableCache,
     pub batcher: Batcher,
     pub pool: Pool,
 }
@@ -294,10 +295,11 @@ pub(crate) fn dispatch(
             if let Err(e) = queries::check_escape(&lg, &[node], w) {
                 return ApiResponse::error(400, &e);
             }
-            let batch_key = answer_key(&[lg.key, w as u64, CLASS_ESCAPE]);
-            let pool = shared.pool;
-            let result = shared.batcher.run(batch_key, node, deadline, |nodes| {
-                queries::escape_batch(&lg, nodes, w, pool)
+            let key = answer_key(&[lg.key, w as u64, CLASS_ESCAPE]);
+            let result = shared.batcher.run(key, node, deadline, |nodes| {
+                escape_entries(shared, key, nodes, || {
+                    queries::escape_table(&lg, w, shared.pool)
+                })
             });
             match result {
                 BatchResult::Value(prob) => {
@@ -368,6 +370,23 @@ pub(crate) fn dispatch(
         }
         _ => ApiResponse::error(405, &format!("method {method} not supported")),
     }
+}
+
+/// An `/escape` batch's compute: its nodes' entries of the escape
+/// table under `key`, made by `build` only when the store lacks it.
+/// The batcher runs one compute per key at a time, so concurrent first
+/// probes build the table once: the first builds it, and the rest form
+/// the next batch and find it.
+fn escape_entries(
+    shared: &Shared,
+    key: u64,
+    nodes: &[u64],
+    build: impl FnOnce() -> Result<Vec<f64>, String>,
+) -> Result<Vec<f64>, String> {
+    let table = shared
+        .tables
+        .get_or_insert_with(key, || build().map(Arc::from))?;
+    queries::entries(&table, nodes)
 }
 
 /// Which listener a queued connection came from.
@@ -472,6 +491,7 @@ impl Server {
         let shared = Arc::new(Shared {
             catalog: Catalog::at(cache_dir),
             answers: AnswerCache::new(DEFAULT_CAP),
+            tables: TableCache::new(TABLE_BUDGET),
             batcher: Batcher::new(Duration::ZERO, cfg.batch_max),
             pool: Pool::new(),
             cfg,
@@ -749,6 +769,7 @@ mod tests {
             cfg: ServeConfig::default(),
             catalog: Catalog::at(&dir),
             answers: AnswerCache::new(DEFAULT_CAP),
+            tables: TableCache::new(TABLE_BUDGET),
             batcher: Batcher::new(Duration::ZERO, 64),
             pool: Pool::serial(),
         };
@@ -799,6 +820,98 @@ mod tests {
             assert_eq!(valid.body, queries::render_escape(&lg, 0, w, solo));
             assert!(matches!(blocker.join().unwrap(), BatchResult::Value(_)));
         });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A server's shared state over the tiny graph, in its own
+    /// directory, with the graph loaded.
+    fn loaded(tag: &str) -> (Shared, Arc<LoadedGraph>, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("socmix-serve-{tag}-{}", std::process::id()));
+        let shared = Shared {
+            cfg: ServeConfig::default(),
+            catalog: Catalog::at(&dir),
+            answers: AnswerCache::new(DEFAULT_CAP),
+            tables: TableCache::new(TABLE_BUDGET),
+            batcher: Batcher::new(Duration::ZERO, 64),
+            pool: Pool::serial(),
+        };
+        let lg = shared
+            .catalog
+            .load("wiki-vote", 0.02, 3)
+            .expect("tiny graph");
+        (shared, lg, dir)
+    }
+
+    fn escape_query(node: u64, w: usize) -> Vec<(String, String)> {
+        vec![
+            ("graph".to_string(), "wiki-vote".to_string()),
+            ("node".to_string(), node.to_string()),
+            ("w".to_string(), w.to_string()),
+        ]
+    }
+
+    /// The body `/escape` must serve, from a direct query.
+    fn expected(lg: &LoadedGraph, node: u64, w: usize) -> String {
+        let prob = queries::escape_batch(lg, &[node], w, Pool::serial()).unwrap()[0];
+        queries::render_escape(lg, node, w, prob)
+    }
+
+    #[test]
+    fn a_second_escape_on_the_same_graph_and_w_builds_nothing() {
+        let (shared, lg, dir) = loaded("table-reuse");
+        let far = Instant::now() + Duration::from_secs(30);
+        for (node, w, builds) in [(0, 8, 1), (5, 8, 1), (0, 8, 1), (5, 9, 2), (7, 8, 2)] {
+            let resp = dispatch(&shared, "GET", "/escape", &escape_query(node, w), b"", far);
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            assert_eq!(resp.body, expected(&lg, node, w), "node {node} w={w}");
+            assert_eq!(shared.tables.misses(), builds, "node {node} w={w}");
+        }
+        assert_eq!(shared.tables.len(), 2, "one table per (graph, w)");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn first_escapes_queued_behind_a_blocked_build_share_one_build() {
+        let (shared, lg, dir) = loaded("table-once");
+        let w = 8;
+        let key = answer_key(&[lg.key, w as u64, CLASS_ESCAPE]);
+        let far = Instant::now() + Duration::from_secs(30);
+        std::thread::scope(|s| {
+            let (started_tx, started) = mpsc::channel();
+            let (release, released) = mpsc::channel::<()>();
+            let (shared, lg) = (&shared, &lg);
+            // The first probe's build, held open until the second probe
+            // has queued behind it.
+            let first = s.spawn(move || {
+                shared.batcher.run(key, 1, far, |nodes| {
+                    escape_entries(shared, key, nodes, || {
+                        started_tx.send(()).unwrap();
+                        released.recv().unwrap();
+                        queries::escape_table(lg, w, Pool::serial())
+                    })
+                })
+            });
+            started.recv().unwrap();
+            let second =
+                s.spawn(|| dispatch(shared, "GET", "/escape", &escape_query(0, w), b"", far));
+            while shared.batcher.queued(key) < 1 {
+                std::thread::yield_now();
+            }
+            release.send(()).unwrap();
+            let second = second.join().unwrap();
+            assert_eq!(second.status, 200, "{}", second.body);
+            assert_eq!(second.body, expected(lg, 0, w));
+            let want = queries::escape_batch(lg, &[1], w, Pool::serial()).unwrap()[0];
+            match first.join().unwrap() {
+                BatchResult::Value(v) => assert_eq!(v.to_bits(), want.to_bits()),
+                _ => panic!("the first probe must get its value"),
+            }
+        });
+        assert_eq!(
+            shared.tables.misses(),
+            1,
+            "the queued probe found the table"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
