@@ -1,14 +1,12 @@
-//! Bench: the persistent worker-pool runtime vs spawn-per-call
-//! dispatch. Two claims are tracked here:
+//! Bench: the persistent worker-pool runtime against running serially.
+//! Two numbers are tracked here:
 //!
 //! 1. **Dispatch overhead** — the fixed cost of fanning a trivially
-//!    small body out to 8 threads. The persistent runtime resets a
-//!    recycled job header and wakes parked workers; the spawn baseline
-//!    creates and joins 8 OS threads. Target: ≥5× lower per-dispatch
-//!    cost.
-//! 2. **End-to-end SLEM** — the dispatch savings compound over the
-//!    thousands of operator applies of a power-iteration SLEM run on
-//!    the 100k-node Facebook A stand-in.
+//!    small body out to 8 threads: the runtime resets a recycled job
+//!    header and wakes parked workers.
+//! 2. **End-to-end SLEM** — the dispatch cost summed over the operator
+//!    applies of a power-iteration SLEM run on the 100k-node Facebook A
+//!    stand-in.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use socmix_core::Slem;
@@ -28,15 +26,6 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
     group.bench_function("tiny_body_serial", |b| {
         b.iter(|| {
             serial.for_each_chunk(N, |range| {
-                black_box(&data[range]);
-            })
-        })
-    });
-
-    let spawn = Pool::with_threads(8).spawn_per_call();
-    group.bench_function("tiny_body_spawn8", |b| {
-        b.iter(|| {
-            spawn.for_each_chunk(N, |range| {
                 black_box(&data[range]);
             })
         })
@@ -70,15 +59,6 @@ fn bench_slem_end_to_end(c: &mut Criterion) {
             Slem::power_iteration(&g)
                 .power_options(opts)
                 .pool(Pool::serial())
-                .estimate()
-                .unwrap()
-        })
-    });
-    group.bench_function("power_120it_100k_spawn8", |b| {
-        b.iter(|| {
-            Slem::power_iteration(&g)
-                .power_options(opts)
-                .pool(Pool::with_threads(8).spawn_per_call())
                 .estimate()
                 .unwrap()
         })

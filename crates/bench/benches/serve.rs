@@ -2,7 +2,7 @@
 //! per-request dispatch at concurrency 1 and 8, plus an overload burst
 //! against a tiny accept queue.
 //!
-//! Hand-rolled like `shard.rs` so the variants interleave: each round
+//! Hand-rolled so the variants interleave: each round
 //! times every (dispatch, concurrency) cell once over real TCP against
 //! two in-process servers sharing one graph cache — one batching, one
 //! with `batch_max = 1` — so clock drift and cache state land on every
@@ -195,7 +195,6 @@ impl Row {
 }
 
 fn main() {
-    socmix_par::shard::worker_check();
     let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
     if let Some(f) = &filter {
         if !"serve/qps/batched_per_request_overload".contains(f.as_str()) {

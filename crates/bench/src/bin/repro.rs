@@ -24,7 +24,6 @@
 //!   sampler-bias  (extension) BFS vs walk vs forest-fire sampling bias on mu
 //!   null-model    (extension) structure vs degree sequence: mu after rewiring
 //!   ncp           (extension) network community profile minima per dataset
-//!   shard         multi-process backend smoke: partition stats + bitwise verdict
 //!   all           everything above in order
 //! ```
 //!
@@ -100,7 +99,6 @@ const COMMANDS: &[&str] = &[
     "defenses",
     "sampler-bias",
     "null-model",
-    "shard",
 ];
 
 /// Everything a stage needs: the run configuration and the (optional)
@@ -189,7 +187,6 @@ fn stage_artifacts(name: &str, cfg: &RunConfig) -> Vec<(Dataset, f64)> {
             (Dataset::Physics3, (cfg.scale * 2.0).min(1.0)),
         ],
         "sampler-bias" => vec![raw(Dataset::LivejournalA), raw(Dataset::FacebookA)],
-        "shard" => vec![at(Dataset::WikiVote)],
         "null-model" => vec![
             raw(Dataset::WikiVote),
             at(Dataset::Physics1),
@@ -251,16 +248,12 @@ fn dispatch(cmd: &str, ctx: &Ctx<'_>, out: &mut String) -> bool {
         "defenses" => defenses(ctx, out),
         "sampler-bias" => sampler_bias(ctx, out),
         "null-model" => null_model(ctx, out),
-        "shard" => shard_smoke(ctx, out),
         _ => return false,
     }
     true
 }
 
 fn main() {
-    // Must precede everything: re-enters this binary as a shard worker
-    // when spawned with the `shard-worker` subcommand (SOCMIX_SHARDS).
-    socmix_par::shard::worker_check();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cfg, rest) = match RunConfig::parse(&args) {
         Ok(x) => x,
@@ -294,8 +287,6 @@ fn main() {
         socmix_obs::reset();
     }
     if cfg.trace.is_some() {
-        // Must be on before workers spawn: the trace context handshake
-        // only happens for workers started while tracing is enabled.
         socmix_obs::set_trace_enabled(true);
     }
 
@@ -343,21 +334,11 @@ fn main() {
     println!("{:<14} {total:9.2}s", "total");
 
     // Drain the trace before the manifest so `--metrics` condenses the
-    // same merged multi-process event list that goes to disk.
+    // same event list that goes to disk.
     let trace_events: Option<Vec<socmix_obs::Value>> = cfg.trace.as_ref().map(|path| {
         let own = socmix_obs::trace::drain();
         let labels = socmix_obs::trace::thread_labels();
-        let mut events =
-            socmix_obs::export::chrome_events(&own, std::process::id() as u64, &labels);
-        // Each shard worker ships its buffer as a ready-made chrome
-        // event array (its own pid, clock offset already applied);
-        // merging is a plain concatenation.
-        for (_, shard, json) in socmix_par::shard::collect_traces() {
-            match socmix_obs::parse(&json) {
-                Ok(socmix_obs::Value::Arr(mut rows)) => events.append(&mut rows),
-                _ => progress!("trace: shard {shard} sent an unparsable trace buffer"),
-            }
-        }
+        let events = socmix_obs::export::chrome_events(&own, std::process::id() as u64, &labels);
         let dropped = socmix_obs::trace::dropped_events();
         if dropped > 0 {
             progress!("trace: ring buffers dropped {dropped} events (oldest first)");
@@ -381,7 +362,6 @@ fn main() {
             &socmix_bench::git_describe(),
             events.as_deref(),
             &socmix_obs::snapshot(),
-            &socmix_par::shard::collect_snapshots(),
             trace_events.as_deref(),
         );
         if let Err(e) = std::fs::write(path, manifest.to_pretty()) {
@@ -397,7 +377,7 @@ fn usage() {
         "usage: repro [--scale S] [--seed N] [--sources K] [--tmax T] [--metrics PATH]\n\
          \x20            [--trace PATH] [--cache-dir D | --no-cache] [--out-dir D]\n\
          \x20            [--resume | --fresh] [--stage-jobs N] [--quiet] <command>\n\
-         commands: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 sybil-attack whanau average ncp defenses sampler-bias null-model shard all"
+         commands: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 sybil-attack whanau average ncp defenses sampler-bias null-model all"
     );
 }
 
@@ -1245,86 +1225,4 @@ fn null_model(ctx: &Ctx<'_>, out: &mut String) {
         " structure; their mixing collapses to expander speed — slow mixing is"
     );
     outln!(out, " structural, not a degree-sequence artifact)");
-}
-
-// ------------------------------------------ shard backend smoke stage
-
-fn shard_smoke(ctx: &Ctx<'_>, out: &mut String) {
-    let cfg = ctx.cfg;
-    banner(
-        out,
-        "Shard backend: partition statistics and shared-memory equivalence",
-        cfg,
-    );
-    use socmix_community::Partition;
-    use socmix_linalg::{contiguous_labels, DistributedOp, LinearOp, SymmetricWalkOp, WalkOp};
-    use socmix_par::Pool;
-    let g = ctx.gen(Dataset::WikiVote);
-    let n = g.num_nodes();
-    let mut t = Table::new([
-        "shards",
-        "edge cut",
-        "cut frac",
-        "max boundary",
-        "rows/shard",
-    ]);
-    for &k in &[2usize, 4, 8] {
-        let part = Partition::contiguous(n, k);
-        let cut = part.edge_cut(&g);
-        let max_boundary = part
-            .boundary_nodes(&g)
-            .iter()
-            .map(Vec::len)
-            .max()
-            .unwrap_or(0);
-        t.row([
-            k.to_string(),
-            cut.to_string(),
-            format!("{:.4}", cut as f64 / g.num_edges().max(1) as f64),
-            max_boundary.to_string(),
-            n.div_ceil(k).to_string(),
-        ]);
-    }
-    out.push_str(&t.render());
-    outln!(out);
-    // Bitwise verdict: the multi-process operators against the
-    // shared-memory kernels on a deterministic probe vector. If workers
-    // cannot spawn, the verdict says so instead of failing the stage.
-    let x: Vec<f64> = (0..n)
-        .map(|i| ((i * 2654435761) % 1000) as f64 / 1000.0 - 0.5)
-        .collect();
-    for &k in &[2usize, 4] {
-        let labels = contiguous_labels(n, k);
-        for symmetric in [false, true] {
-            let name = if symmetric { "symmetric" } else { "walk" };
-            let want = if symmetric {
-                SymmetricWalkOp::with_pool(&g, Pool::serial()).apply_vec(&x)
-            } else {
-                WalkOp::with_pool(&g, Pool::serial()).apply_vec(&x)
-            };
-            let built = if symmetric {
-                DistributedOp::symmetric(&g, &labels, k)
-            } else {
-                DistributedOp::walk(&g, &labels, k)
-            };
-            let verdict = match built {
-                Ok(op) => {
-                    let mut y = vec![0.0; n];
-                    match op.try_apply(&x, &mut y) {
-                        Ok(()) => {
-                            if want.iter().zip(&y).all(|(a, b)| a.to_bits() == b.to_bits()) {
-                                "bitwise-equal yes".to_string()
-                            } else {
-                                "bitwise-equal NO".to_string()
-                            }
-                        }
-                        Err(e) => format!("apply failed ({e})"),
-                    }
-                }
-                Err(e) => format!("backend unavailable ({e})"),
-            };
-            outln!(out, "{name} matvec, {k} shards: {verdict}");
-        }
-        progress!("shard: {k} shards done");
-    }
 }

@@ -236,7 +236,7 @@ mod tests {
     fn parses_every_committed_baseline() {
         // The gate must be able to read its own repo's baselines.
         let dir = concat!(env!("CARGO_MANIFEST_DIR"));
-        let mut seen = 0;
+        let mut seen = Vec::new();
         for entry in std::fs::read_dir(dir).unwrap() {
             let path = entry.unwrap().path();
             let name = path.file_name().unwrap_or_default().to_string_lossy();
@@ -246,9 +246,12 @@ mod tests {
             let text = std::fs::read_to_string(&path).unwrap();
             let rows = parse_bench(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(!rows.is_empty(), "{name} has no rows");
-            seen += 1;
+            seen.push(name.into_owned());
         }
-        assert!(seen >= 5, "expected the committed baselines, found {seen}");
+        for want in ["batch", "obs", "pool", "serve"] {
+            let file = format!("BENCH_{want}.json");
+            assert!(seen.contains(&file), "{file} not found among {seen:?}");
+        }
     }
 
     #[test]

@@ -18,13 +18,10 @@ use socmix_obs::{MetricsSnapshot, Value};
 /// `git` is the build provenance string (see [`git_describe`]) and
 /// `snapshot` the telemetry state at the end of the run. `cache_events`
 /// is the per-artifact provenance drained from the graph cache
-/// (`None` when the cache is disabled). `shard_snapshots` is the
-/// per-worker telemetry collected from live shard groups
-/// (`socmix_par::shard::collect_snapshots`; empty when the run never
-/// spawned workers) as `(group_size, shard_index, snapshot_json)` rows.
-/// `trace_events` is the merged chrome-format event list from a
-/// `--trace` run (`None` when tracing was off); the manifest condenses
-/// it into a per-stage top-5 exclusive-time profile table.
+/// (`None` when the cache is disabled). `trace_events` is the
+/// chrome-format event list from a `--trace` run (`None` when tracing
+/// was off); the manifest condenses it into a per-stage top-5
+/// exclusive-time profile table.
 // Every parameter is a distinct section of the manifest with exactly
 // one call site; a params struct would just rename the positions.
 #[allow(clippy::too_many_arguments)]
@@ -36,7 +33,6 @@ pub fn run_manifest(
     git: &str,
     cache_events: Option<&[CacheEvent]>,
     snapshot: &MetricsSnapshot,
-    shard_snapshots: &[(usize, usize, String)],
     trace_events: Option<&[Value]>,
 ) -> Value {
     let env_knob = |name: &str| match std::env::var(name) {
@@ -71,24 +67,6 @@ pub fn run_manifest(
         ]),
         _ => Value::Obj(vec![("enabled".into(), Value::Bool(false))]),
     };
-    // One row per live worker process; the snapshot text is re-parsed
-    // so it nests as structured JSON (kept verbatim as a string if a
-    // worker ever sends something unparsable).
-    let shards = Value::Arr(
-        shard_snapshots
-            .iter()
-            .map(|(group, shard, json)| {
-                Value::Obj(vec![
-                    ("group".into(), Value::Int(*group as i64)),
-                    ("shard".into(), Value::Int(*shard as i64)),
-                    (
-                        "metrics".into(),
-                        socmix_obs::parse(json).unwrap_or_else(|_| Value::Str(json.clone())),
-                    ),
-                ])
-            })
-            .collect(),
-    );
     Value::Obj(vec![
         ("command".into(), Value::Str(command.to_string())),
         (
@@ -111,15 +89,10 @@ pub fn run_manifest(
             "env".into(),
             Value::Obj(vec![
                 ("SOCMIX_THREADS".into(), env_knob("SOCMIX_THREADS")),
-                ("SOCMIX_SHARDS".into(), env_knob("SOCMIX_SHARDS")),
                 ("SOCMIX_BLOCK".into(), env_knob("SOCMIX_BLOCK")),
                 ("SOCMIX_LOG".into(), env_knob("SOCMIX_LOG")),
                 ("SOCMIX_TRACE".into(), env_knob("SOCMIX_TRACE")),
             ]),
-        ),
-        (
-            "shards".into(),
-            Value::Int(socmix_par::shard::configured_shards() as i64),
         ),
         ("git".into(), Value::Str(git.to_string())),
         ("cache".into(), cache),
@@ -151,7 +124,6 @@ pub fn run_manifest(
         ),
         ("total_seconds".into(), Value::Float(total_seconds)),
         ("metrics".into(), snapshot.to_json()),
-        ("shard_workers".into(), shards),
         (
             "trace_profile".into(),
             match trace_events {
@@ -221,7 +193,6 @@ mod tests {
             "deadbeef",
             Some(&events),
             &socmix_obs::snapshot(),
-            &[(2, 0, "{\"counters\":{\"shard.rounds\":5}}".into())],
             None,
         )
     }
@@ -287,7 +258,6 @@ mod tests {
             "deadbeef",
             None,
             &socmix_obs::snapshot(),
-            &[],
             None,
         );
         let cache = m.get("cache").unwrap();
@@ -317,31 +287,6 @@ mod tests {
     fn threads_field_is_positive() {
         let m = sample_manifest();
         assert!(m.get("threads").unwrap().as_i64().unwrap() >= 1);
-        assert!(m.get("shards").unwrap().as_i64().unwrap() >= 1);
-    }
-
-    #[test]
-    fn manifest_records_shard_worker_snapshots() {
-        let m = sample_manifest();
-        let env = m.get("env").unwrap();
-        assert!(env.get("SOCMIX_SHARDS").is_some());
-        assert!(env.get("SOCMIX_BLOCK").is_some());
-        let workers = m.get("shard_workers").unwrap().as_arr().unwrap();
-        assert_eq!(workers.len(), 1);
-        assert_eq!(workers[0].get("group").unwrap().as_i64(), Some(2));
-        assert_eq!(workers[0].get("shard").unwrap().as_i64(), Some(0));
-        // the worker's snapshot text nests as structured JSON
-        assert_eq!(
-            workers[0]
-                .get("metrics")
-                .unwrap()
-                .get("counters")
-                .unwrap()
-                .get("shard.rounds")
-                .unwrap()
-                .as_i64(),
-            Some(5)
-        );
     }
 
     #[test]
@@ -350,6 +295,7 @@ mod tests {
         assert!(matches!(m.get("trace_profile"), Some(Value::Null)));
         let env = m.get("env").unwrap();
         assert!(env.get("SOCMIX_TRACE").is_some());
+        assert!(env.get("SOCMIX_BLOCK").is_some());
     }
 
     #[test]
@@ -384,7 +330,6 @@ mod tests {
             "deadbeef",
             None,
             &socmix_obs::snapshot(),
-            &[],
             Some(&events),
         );
         let profile = m.get("trace_profile").unwrap();

@@ -271,16 +271,7 @@ pub fn run_pipeline(
             }
         }
     };
-    // The observer forwards stage starts to any live shard worker
-    // groups, so per-worker telemetry can attribute matvec rounds to
-    // pipeline stages (best-effort; a no-op without SOCMIX_SHARDS).
-    let observe = |ev: socmix_par::DagEvent| {
-        if let socmix_par::DagEvent::Started { task } = ev {
-            socmix_par::shard::note_stage(&stages[task].name);
-        }
-    };
-    socmix_par::run_dag_observed(&deps, opts.jobs, run_one, observe)
-        .expect("stage dependency graph is valid");
+    socmix_par::run_dag(&deps, opts.jobs, run_one).expect("stage dependency graph is valid");
 
     slots
         .into_iter()

@@ -20,8 +20,7 @@ pub struct RunConfig {
     pub metrics: Option<String>,
     /// `--trace <path>`: enable span tracing and write a Chrome
     /// trace-event JSON (loadable in `chrome://tracing` / Perfetto)
-    /// covering the whole run — including shard worker processes — to
-    /// this path on exit.
+    /// covering the whole run to this path on exit.
     pub trace: Option<String>,
     /// `--quiet`: suppress per-stage progress lines on stderr.
     pub quiet: bool,
@@ -254,9 +253,9 @@ mod tests {
 
     #[test]
     fn parses_trace_path() {
-        let (cfg, rest) = RunConfig::parse(&strs(&["--trace", "/tmp/t.json", "shard"])).unwrap();
+        let (cfg, rest) = RunConfig::parse(&strs(&["--trace", "/tmp/t.json", "table1"])).unwrap();
         assert_eq!(cfg.trace.as_deref(), Some("/tmp/t.json"));
-        assert_eq!(rest, vec!["shard"]);
+        assert_eq!(rest, vec!["table1"]);
         let (cfg, _) = RunConfig::parse(&strs(&["all"])).unwrap();
         assert_eq!(cfg.trace, None);
     }

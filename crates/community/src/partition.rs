@@ -119,59 +119,6 @@ impl Partition {
             .sum()
     }
 
-    /// The contiguous `k`-way partition: node `v` belongs to part
-    /// `⌊v·k/n⌋`, so parts are equal-size index ranges. This is the
-    /// edge-cut used by the sharded matvec backend: CSR locality means
-    /// contiguous ranges keep most neighbors local on graphs whose
-    /// node order correlates with community structure.
-    pub fn contiguous(n: usize, k: usize) -> Self {
-        assert!(k >= 1, "need at least one part");
-        if n == 0 {
-            return Partition {
-                labels: Vec::new(),
-                k: 0,
-            };
-        }
-        let k = k.min(n);
-        let labels = (0..n).map(|v| (v * k / n) as u32).collect();
-        Partition { labels, k }
-    }
-
-    /// Number of edges crossing between communities (each undirected
-    /// edge counted once) — the **edge cut** of the partition. This is
-    /// the per-round communication volume driver of the sharded
-    /// backend: every cut edge forces its endpoint's scaled value into
-    /// another shard's gathered input slice.
-    pub fn edge_cut(&self, g: &Graph) -> usize {
-        assert_eq!(self.labels.len(), g.num_nodes());
-        let mut cut = 0usize;
-        for (u, v) in g.edges() {
-            if self.labels[u as usize] != self.labels[v as usize] {
-                cut += 1;
-            }
-        }
-        cut
-    }
-
-    /// Per-community **boundary node** lists: for each community `c`,
-    /// the ascending nodes of `c` with at least one neighbor outside
-    /// `c`. These are exactly the nodes whose values must be shipped
-    /// across shards each matvec round.
-    pub fn boundary_nodes(&self, g: &Graph) -> Vec<Vec<NodeId>> {
-        assert_eq!(self.labels.len(), g.num_nodes());
-        let mut out = vec![Vec::new(); self.k];
-        for v in g.nodes() {
-            let lv = self.labels[v as usize];
-            if g.neighbors(v)
-                .iter()
-                .any(|&u| self.labels[u as usize] != lv)
-            {
-                out[lv as usize].push(v);
-            }
-        }
-        out
-    }
-
     /// Conductance of each community viewed as a cut against the rest
     /// of the graph (`None` for degenerate cuts).
     pub fn community_conductances(&self, g: &Graph) -> Vec<Option<f64>> {
@@ -264,54 +211,6 @@ mod tests {
         for phi in phis {
             assert!((phi.unwrap() - expect).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn contiguous_partition_covers_evenly() {
-        let p = Partition::contiguous(10, 3);
-        assert_eq!(p.num_communities(), 3);
-        assert_eq!(p.len(), 10);
-        // labels are monotone non-decreasing index ranges
-        for w in p.labels().windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-        let sizes = p.sizes();
-        assert_eq!(sizes.iter().sum::<usize>(), 10);
-        assert!(sizes.iter().all(|&s| (3..=4).contains(&s)), "{sizes:?}");
-        // more parts than nodes degrades gracefully
-        assert_eq!(Partition::contiguous(2, 5).num_communities(), 2);
-        assert!(Partition::contiguous(0, 4).is_empty());
-    }
-
-    #[test]
-    fn edge_cut_counts_cross_edges_once() {
-        // barbell(k, 0): two k-cliques joined by a single bridge edge
-        let k = 5;
-        let g = fixtures::barbell(k, 0);
-        let labels: Vec<u32> = (0..2 * k).map(|v| (v >= k) as u32).collect();
-        let p = Partition::from_labels(&labels);
-        assert_eq!(p.edge_cut(&g), 1);
-        assert_eq!(Partition::single(2 * k).edge_cut(&g), 0);
-        assert_eq!(Partition::singletons(2 * k).edge_cut(&g), g.num_edges());
-    }
-
-    #[test]
-    fn boundary_nodes_are_cut_endpoints() {
-        let k = 4;
-        let g = fixtures::barbell(k, 0);
-        let labels: Vec<u32> = (0..2 * k).map(|v| (v >= k) as u32).collect();
-        let p = Partition::from_labels(&labels);
-        let b = p.boundary_nodes(&g);
-        // only the two bridge endpoints sit on the boundary
-        assert_eq!(b.len(), 2);
-        assert_eq!(b[0].len(), 1);
-        assert_eq!(b[1].len(), 1);
-        let u = b[0][0];
-        let v = b[1][0];
-        assert!(g.neighbors(u).contains(&v));
-        // trivial partition has no boundary at all
-        let none = Partition::single(2 * k).boundary_nodes(&g);
-        assert!(none[0].is_empty());
     }
 
     #[test]

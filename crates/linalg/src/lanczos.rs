@@ -17,9 +17,8 @@
 //! orthogonalizes each new vector against all of it: one Gram–Schmidt
 //! sweep per step, repeated only when the DGKS test says the first
 //! lost orthogonality (see [`reorthogonalize`]). The sweep is
-//! [`block_sweep`], which takes eight coefficients per pass over `w`
-//! and runs 256-bit AVX code where the CPU has it, with the same bits
-//! as its portable path; its last ‖w‖ is the step's β. The
+//! [`block_sweep`], which takes eight coefficients per pass over `w`;
+//! its last ‖w‖ is the step's β. The
 //! convergence checks of every driver need only the last row of the
 //! tridiagonal eigenvector matrix, which [`tridiag_eigen_last_row`]
 //! computes in O(k²) instead of O(k³).
@@ -239,18 +238,6 @@ pub fn lanczos_topk<Op: LinearOp, R: Rng + ?Sized>(
     opts: LanczosOptions,
     rng: &mut R,
 ) -> TopkResult {
-    topk_with(op, k, opts, rng, block_sweep)
-}
-
-/// [`lanczos_topk`] with the Gram–Schmidt sweep given, so tests can
-/// run the driver on each path of [`block_sweep`].
-fn topk_with<Op: LinearOp, R: Rng + ?Sized>(
-    op: &Op,
-    k: usize,
-    opts: LanczosOptions,
-    rng: &mut R,
-    sweep: Sweep,
-) -> TopkResult {
     let n = op.dim();
     assert!(n > 0 && k >= 1);
     RUNS.incr();
@@ -280,7 +267,7 @@ fn topk_with<Op: LinearOp, R: Rng + ?Sized>(
         if j > 0 {
             axpy(-betas[j - 1], &basis[j - 1], &mut w);
         }
-        let (_, beta) = reorthogonalize(&mut w, &basis, sweep);
+        let (_, beta) = reorthogonalize(&mut w, &basis);
         alphas.push(alpha);
         if beta < 1e-14 {
             betas.push(0.0);
@@ -330,12 +317,9 @@ fn topk_with<Op: LinearOp, R: Rng + ?Sized>(
     }
 }
 
-/// A Gram–Schmidt sweep of `w` against a basis: [`block_sweep`], or
-/// one of its two paths in tests.
-type Sweep = fn(&mut [f64], &[Vec<f64>]);
-
-/// Orthogonalizes `w` against the orthonormal `basis` with `sweep`,
-/// and returns how many sweeps that took and ‖w‖ after the last.
+/// Orthogonalizes `w` against the orthonormal `basis` with
+/// [`block_sweep`], and returns how many sweeps that took and ‖w‖
+/// after the last.
 ///
 /// One sweep suffices when it keeps more than [`DGKS_ETA`] of ‖w‖.
 /// Otherwise `w` was mostly inside the span of the basis, rounding in
@@ -347,15 +331,15 @@ type Sweep = fn(&mut [f64], &[Vec<f64>]);
 /// the result does not depend on the pool the operator ran on. The
 /// returned norm is the [`norm2`] [`lanczos_topk`] would otherwise
 /// recompute for β.
-fn reorthogonalize(w: &mut [f64], basis: &[Vec<f64>], sweep: Sweep) -> (usize, f64) {
+fn reorthogonalize(w: &mut [f64], basis: &[Vec<f64>]) -> (usize, f64) {
     let before = norm2(w);
-    sweep(w, basis);
+    block_sweep(w, basis);
     let after = norm2(w);
     if after > DGKS_ETA * before {
         return (1, after);
     }
     REORTH_REPEATS.incr();
-    sweep(w, basis);
+    block_sweep(w, basis);
     (2, norm2(w))
 }
 
@@ -364,7 +348,6 @@ mod tests {
     use super::*;
     use crate::dense::{jacobi_eigen, slem_dense, DenseMatrix};
     use crate::op::{DeflatedOp, DenseOp, SymmetricWalkOp};
-    use crate::vecops::block_sweep_portable;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use socmix_graph::GraphBuilder;
@@ -709,7 +692,7 @@ mod tests {
         // w = Σ b_i + 1e-6 · u with u ⟂ basis: the first sweep cancels
         // all but a millionth of it, and its rounding stays behind
         let mut w = dgks_input(outside, basis, true);
-        assert_eq!(reorthogonalize(&mut w, basis, block_sweep).0, 2);
+        assert_eq!(reorthogonalize(&mut w, basis).0, 2);
         let overlap = max_overlap(&w, basis);
         assert!(overlap <= 1e-14, "overlap {overlap:e}");
     }
@@ -720,25 +703,9 @@ mod tests {
         let basis = orthonormal_basis(n, k + 1, 42);
         let (outside, basis) = basis.split_last().expect("k + 1 vectors");
         let mut w = dgks_input(outside, basis, false);
-        assert_eq!(reorthogonalize(&mut w, basis, block_sweep).0, 1);
+        assert_eq!(reorthogonalize(&mut w, basis).0, 1);
         let overlap = max_overlap(&w, basis);
         assert!(overlap <= 1e-14, "overlap {overlap:e}");
-    }
-
-    /// The AVX path of [`block_sweep`], or `None` on a CPU without AVX.
-    fn avx_sweep() -> Option<Sweep> {
-        #[cfg(target_arch = "x86_64")]
-        if crate::vecops::avx::available() {
-            return Some(|w, basis| {
-                // SAFETY: returned only after `available()` confirmed AVX.
-                unsafe { crate::vecops::avx::block_sweep(w, basis) }
-            });
-        }
-        None
-    }
-
-    fn skip_note(what: &str) {
-        eprintln!("note: no AVX on this CPU; {what} checks the portable path only");
     }
 
     /// `w` for one DGKS branch: mostly outside the basis (`repeat`
@@ -765,17 +732,14 @@ mod tests {
     }
 
     #[test]
-    fn block_sweep_paths_agree_bit_for_bit() {
-        let avx = avx_sweep();
-        if avx.is_none() {
-            skip_note("block_sweep_paths_agree_bit_for_bit");
-        }
+    fn reorthogonalize_across_block_shapes() {
         for n in [1, 7, 8, 9, 500, 11_204] {
             for k in [0, 1, 7, 8, 9, 16, 17, 40] {
                 let seed = (n * 100 + k) as u64;
                 // an orthonormal basis plus a unit vector outside it
                 // where R^n has room; otherwise unit vectors that are
-                // not orthogonal, which still pin the arithmetic down
+                // not orthogonal, where only the returned norm is
+                // checked
                 let orthonormal = k < n;
                 let vecs = if orthonormal {
                     orthonormal_basis(n, k + 1, seed)
@@ -793,9 +757,8 @@ mod tests {
                 let (outside, basis) = vecs.split_last().expect("k + 1 vectors");
                 for repeat in [false, true] {
                     let case = format!("n {n} k {k} repeat {repeat}");
-                    let w0 = dgks_input(outside, basis, repeat);
-                    let mut w = w0.clone();
-                    let (sweeps, norm) = reorthogonalize(&mut w, basis, block_sweep_portable);
+                    let mut w = dgks_input(outside, basis, repeat);
+                    let (sweeps, norm) = reorthogonalize(&mut w, basis);
                     assert_eq!(norm.to_bits(), norm2(&w).to_bits(), "{case}");
                     if orthonormal {
                         assert_eq!(sweeps, 1 + usize::from(repeat), "{case}");
@@ -804,44 +767,8 @@ mod tests {
                             assert!(overlap <= 1e-14, "{case}: overlap {overlap:e}");
                         }
                     }
-                    if let Some(avx) = avx {
-                        let mut wa = w0.clone();
-                        let (sweeps_a, norm_a) = reorthogonalize(&mut wa, basis, avx);
-                        assert_eq!(sweeps_a, sweeps, "{case}");
-                        assert_eq!(norm_a.to_bits(), norm.to_bits(), "{case}");
-                        let same = w.iter().zip(&wa).all(|(a, b)| a.to_bits() == b.to_bits());
-                        assert!(same, "{case}: AVX and portable w differ");
-                    }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn topk_is_bit_identical_on_both_sweep_paths() {
-        // 40+ steps: several full blocks and a partial one per sweep
-        let g = random_connected_graph(3_000, 9_000, 44);
-        let sop = SymmetricWalkOp::new(&g);
-        let basis = vec![sop.top_eigenvector()];
-        let defl = DeflatedOp::new(sop, &basis);
-        let opts = LanczosOptions {
-            max_iter: 300,
-            ..LanczosOptions::default()
-        };
-        let run = |sweep: Sweep| topk_with(&defl, 2, opts, &mut StdRng::seed_from_u64(45), sweep);
-        let portable = run(block_sweep_portable);
-        assert!(portable.residuals[1] < opts.tol && portable.iterations > 40);
-        // the library's own dispatch: the AVX path wherever it can run
-        if avx_sweep().is_none() {
-            skip_note("topk_is_bit_identical_on_both_sweep_paths");
-        }
-        let dispatched = run(block_sweep);
-        assert_eq!(dispatched.iterations, portable.iterations);
-        for (d, p) in dispatched.values.iter().zip(&portable.values) {
-            assert_eq!(d.to_bits(), p.to_bits());
-        }
-        for (d, p) in dispatched.vectors.iter().zip(&portable.vectors) {
-            assert!(d.iter().zip(p).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 

@@ -17,11 +17,6 @@
 //!   [`multivec::MultiLinearOp`] apply: one CSR traversal serves `B`
 //!   stacked distributions, the GEMM-shaped kernel behind the
 //!   sampling probe, each column bit-for-bit the single-vector apply.
-//! - [`distributed`] — the partitioned-CSR multi-process backend:
-//!   [`distributed::plan_shards`] splits the structure along an
-//!   edge-cut, [`distributed::DistributedOp`] runs the same walk
-//!   operators across worker processes (selected by `SOCMIX_SHARDS`,
-//!   bit-for-bit equal to the shared-memory kernels).
 //! - [`dense`] — dense symmetric **Jacobi** eigensolver, the ground
 //!   truth for everything else on graphs up to a few hundred nodes.
 //! - [`tridiag`] — symmetric tridiagonal QL with implicit shifts,
@@ -50,7 +45,6 @@
 
 pub mod cg;
 pub mod dense;
-pub mod distributed;
 pub mod lanczos;
 pub mod multivec;
 pub mod op;
@@ -60,7 +54,6 @@ pub mod vecops;
 pub mod workspace;
 
 pub use dense::{jacobi_eigen, DenseMatrix};
-pub use distributed::{contiguous_labels, plan_shards, DistributedOp, ShardPart, ShardPlan};
 pub use lanczos::{lanczos_extreme, lanczos_topk, LanczosOptions, LanczosResult, TopkResult};
 pub use multivec::{MultiLinearOp, MultiVec, MultiVecMut};
 pub use op::{DeflatedOp, LazyOp, LinearOp, SymmetricWalkOp, WalkOp};

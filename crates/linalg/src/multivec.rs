@@ -179,16 +179,6 @@ impl MultiLinearOp for WalkOp<'_> {
         }
         MULTI_MATVECS.incr();
         MULTI_COLUMNS.add(width as u64);
-        if let Some(dist) = self.dist() {
-            match dist.try_apply_multi(xs, ys, stride, width) {
-                Ok(()) => return,
-                Err(e) => socmix_obs::warn_once!(
-                    "shard",
-                    "sharded batched matvec failed ({e}); continuing on the \
-                     shared-memory kernel"
-                ),
-            }
-        }
         let g = self.graph();
         let offsets = g.offsets();
         let targets = g.raw_targets();
@@ -223,13 +213,7 @@ impl MultiLinearOp for WalkOp<'_> {
 /// (`acc = 0`, then `acc += x·inv` per neighbour in ascending order, a
 /// rounded multiply and then an add, never fused), so every column is
 /// bit-for-bit equal to [`crate::LinearOp::apply`].
-pub(crate) fn gather_row_multi(
-    nbrs: &[u32],
-    inv: &[f64],
-    xs: &[f64],
-    stride: usize,
-    y: &mut [f64],
-) {
+fn gather_row_multi(nbrs: &[u32], inv: &[f64], xs: &[f64], stride: usize, y: &mut [f64]) {
     let mut c = 0;
     while y.len() - c >= 8 {
         gather_cols::<8>(nbrs, inv, xs, stride, c, &mut y[c..c + 8]);
@@ -426,6 +410,47 @@ mod tests {
         let serial_op = WalkOp::with_pool(&g, Pool::serial());
         for c in 0..3 {
             assert_eq!(y.column(c), serial_op.apply_vec(&x.column(c)));
+        }
+    }
+
+    #[test]
+    fn multi_gather_width_sweep_matches_apply() {
+        // Every column-block split of the register-accumulating gather
+        // (8, 4, 2, 1 and their mixes), with an active width below the
+        // stride, must reproduce the width-1 kernel bit for bit.
+        use rand::SeedableRng;
+        let g = socmix_gen::ba::barabasi_albert(600, 3, &mut rand::rngs::StdRng::seed_from_u64(17));
+        let n = g.num_nodes();
+        let serial = WalkOp::with_pool(&g, Pool::serial());
+        for width in [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17] {
+            let stride = width + 2;
+            let xs: Vec<f64> = (0..n * stride)
+                .map(|k| ((k * 2_654_435_761) % 1999) as f64 / 997.0 - 1.0)
+                .collect();
+            let want: Vec<Vec<f64>> = (0..width)
+                .map(|c| serial.apply_vec(&(0..n).map(|i| xs[i * stride + c]).collect::<Vec<_>>()))
+                .collect();
+            for threads in [1, 2] {
+                let op = WalkOp::with_pool(&g, Pool::with_threads(threads));
+                // NaN poison: the inactive columns must come back untouched.
+                let mut ys = vec![f64::NAN; n * stride];
+                op.apply_multi_raw(&xs, &mut ys, stride, width);
+                for i in 0..n {
+                    for (c, col) in want.iter().enumerate() {
+                        assert_eq!(
+                            ys[i * stride + c].to_bits(),
+                            col[i].to_bits(),
+                            "pool {threads}: width {width}, row {i}, column {c}"
+                        );
+                    }
+                    assert!(
+                        ys[i * stride + width..(i + 1) * stride]
+                            .iter()
+                            .all(|v| v.is_nan()),
+                        "pool {threads}: width {width} wrote past its active columns in row {i}"
+                    );
+                }
+            }
         }
     }
 

@@ -9,7 +9,6 @@
 //! runtime — no thread spawns, no steady-state heap traffic per
 //! apply.
 
-use crate::distributed::DistributedOp;
 use crate::vecops;
 use crate::workspace::with_scratch;
 use socmix_graph::Graph;
@@ -51,10 +50,6 @@ pub struct WalkOp<'g> {
     pool: Pool,
     /// scratch: z[i] = x[i] / deg(i)
     inv_deg: Vec<f64>,
-    /// The process-sharded twin when `SOCMIX_SHARDS > 1` routes this
-    /// operator through worker processes (bitwise-identical results;
-    /// `None` means shared-memory kernels only).
-    dist: Option<Box<DistributedOp<'g>>>,
 }
 
 impl<'g> WalkOp<'g> {
@@ -81,14 +76,7 @@ impl<'g> WalkOp<'g> {
             graph,
             pool,
             inv_deg,
-            dist: crate::distributed::auto_route(graph, false),
         }
-    }
-
-    /// The process-sharded twin, if the `SOCMIX_SHARDS` backend is
-    /// live for this operator.
-    pub(crate) fn dist(&self) -> Option<&DistributedOp<'g>> {
-        self.dist.as_deref()
     }
 
     /// The underlying graph.
@@ -116,15 +104,6 @@ impl LinearOp for WalkOp<'_> {
         assert_eq!(x.len(), self.dim());
         assert_eq!(y.len(), self.dim());
         MATVECS.incr();
-        if let Some(dist) = &self.dist {
-            match dist.try_apply(x, y) {
-                Ok(()) => return,
-                Err(e) => socmix_obs::warn_once!(
-                    "shard",
-                    "sharded matvec failed ({e}); continuing on the shared-memory kernel"
-                ),
-            }
-        }
         let n = self.dim();
         // z[i] = x[i]/deg(i), then gather: y[j] = Σ_{i∼j} z[i].
         // z lives in the reusable per-thread workspace: no allocation
@@ -167,9 +146,6 @@ pub struct SymmetricWalkOp<'g> {
     graph: &'g Graph,
     pool: Pool,
     inv_sqrt_deg: Vec<f64>,
-    /// The process-sharded twin when `SOCMIX_SHARDS > 1` is live
-    /// (bitwise-identical results; `None` = shared-memory only).
-    dist: Option<Box<DistributedOp<'g>>>,
 }
 
 impl<'g> SymmetricWalkOp<'g> {
@@ -194,7 +170,6 @@ impl<'g> SymmetricWalkOp<'g> {
             graph,
             pool,
             inv_sqrt_deg,
-            dist: crate::distributed::auto_route(graph, true),
         }
     }
 
@@ -222,15 +197,6 @@ impl LinearOp for SymmetricWalkOp<'_> {
         assert_eq!(x.len(), self.dim());
         assert_eq!(y.len(), self.dim());
         MATVECS.incr();
-        if let Some(dist) = &self.dist {
-            match dist.try_apply(x, y) {
-                Ok(()) => return,
-                Err(e) => socmix_obs::warn_once!(
-                    "shard",
-                    "sharded matvec failed ({e}); continuing on the shared-memory kernel"
-                ),
-            }
-        }
         let n = self.dim();
         // y[i] = (1/√deg i) Σ_{j∼i} x[j]/√deg j — z reused from the
         // per-thread workspace like the plain walk kernel.

@@ -1,12 +1,7 @@
 //! Dense vector kernels.
 //!
 //! Plain `f64` slices. The build targets baseline x86-64, so what the
-//! compiler autovectorizes here is SSE2 code, two f64 lanes wide. The
-//! one exception is [`block_sweep`], the Lanczos drivers' Gram–Schmidt
-//! sweep and most of a solve: on a CPU that reports AVX at run time it
-//! takes a 256-bit path written with intrinsics, which performs the
-//! same operations in the same order as its portable twin, so both
-//! give the same bits.
+//! compiler autovectorizes here is SSE2 code, two f64 lanes wide.
 
 /// Dot product. Panics (debug) on length mismatch.
 #[inline]
@@ -62,48 +57,20 @@ type Block<'a> = [&'a [f64]; BLOCK];
 /// read and written once per eight basis vectors instead of three times
 /// per vector. The last `k mod 8` vectors get [`dot_unrolled`] and
 /// [`axpy`] one at a time. Nothing is allocated.
-///
-/// On x86-64 CPUs that report AVX at run time the passes run 256-bit
-/// vector code; elsewhere [`block_sweep_portable`] runs them. Both do
-/// the same operations in the same order, so `w` comes out bit for bit
-/// the same on every host.
 pub(crate) fn block_sweep(w: &mut [f64], basis: &[Vec<f64>]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx::available() {
-        // SAFETY: `available()` just confirmed AVX at run time.
-        unsafe { avx::block_sweep(w, basis) };
-        return;
-    }
-    block_sweep_portable(w, basis);
-}
-
-/// [`block_sweep`] in plain Rust, for every CPU.
-pub(crate) fn block_sweep_portable(w: &mut [f64], basis: &[Vec<f64>]) {
-    sweep_blocks(w, basis, block_pass);
-}
-
-/// The block schedule of [`block_sweep`], over a `pass` that applies a
-/// pending update to `w` and returns the next block's coefficients.
-#[inline(always)]
-fn sweep_blocks(
-    w: &mut [f64],
-    basis: &[Vec<f64>],
-    mut pass: impl FnMut(&mut [f64], Option<(&Block, &[f64; BLOCK])>, Option<&Block>) -> [f64; BLOCK],
-) {
     let n = w.len();
     let mut blocks = basis.chunks_exact(BLOCK);
     let mut pending: Option<(Block, [f64; BLOCK])> = None;
     for vs in blocks.by_ref() {
         let next: Block = std::array::from_fn(|g| {
-            // the AVX passes read every vector within `w`'s bounds
             assert_eq!(vs[g].len(), n, "basis vector length");
             vs[g].as_slice()
         });
-        let dots = pass(w, pending.as_ref().map(|(b, h)| (b, h)), Some(&next));
+        let dots = block_pass(w, pending.as_ref().map(|(b, h)| (b, h)), Some(&next));
         pending = Some((next, dots.map(|d| -d)));
     }
     if let Some((b, h)) = &pending {
-        pass(w, Some((b, h)), None);
+        block_pass(w, Some((b, h)), None);
     }
     for b in blocks.remainder() {
         axpy(-dot_unrolled(b, w), b, w);
@@ -144,8 +111,8 @@ fn block_pass(
     std::array::from_fn(|j| fold_lanes(&acc[j], tail[j]))
 }
 
-/// The scalar end of a pass, shared by both paths: elements `m..` of
-/// `w` one at a time, returning each `dots` vector's sum over them.
+/// The scalar end of a pass: elements `m..` of `w` one at a time,
+/// returning each `dots` vector's sum over them.
 #[inline(always)]
 fn pass_tail(
     w: &mut [f64],
@@ -169,116 +136,6 @@ fn pass_tail(
         }
     }
     tail
-}
-
-/// The 256-bit AVX passes of [`block_sweep`]. Compiled only on x86-64
-/// and entered only after [`avx::available`] confirms the feature at
-/// run time. Each pass does [`block_pass`]'s operations in its order:
-/// lanes `0..4` of a chunk of eight in one register and `4..8` in
-/// another, separate multiplies and adds (never a fused multiply-add),
-/// then the same [`pass_tail`] and lane fold.
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod avx {
-    use super::{fold_lanes, pass_tail, sweep_blocks, Block, BLOCK};
-    use std::arch::x86_64::*;
-
-    /// Whether the AVX passes may run. `is_x86_feature_detected!`
-    /// caches the CPUID probe, so this costs one load per sweep.
-    #[inline]
-    pub(crate) fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx")
-    }
-
-    /// [`super::block_sweep`] on the AVX passes.
-    ///
-    /// # Safety
-    /// The caller must guarantee that AVX is available (check
-    /// [`available`] first).
-    #[target_feature(enable = "avx")]
-    // SAFETY: caller contract (see `# Safety` above) — AVX confirmed
-    // via `available()`.
-    pub(crate) unsafe fn block_sweep(w: &mut [f64], basis: &[Vec<f64>]) {
-        // SAFETY: AVX is available by this function's contract, and
-        // `sweep_blocks` asserts every vector's length is `w.len()`; a
-        // pass never reads the block it is handed as a stand-in.
-        sweep_blocks(w, basis, |w, update, dots| unsafe {
-            match (update, dots) {
-                (Some((b, h)), Some(d)) => pass::<true, true>(w, b, h, d),
-                (Some((b, h)), None) => pass::<true, false>(w, b, h, b),
-                (None, Some(d)) => pass::<false, true>(w, d, &[0.0; BLOCK], d),
-                (None, None) => [0.0; BLOCK],
-            }
-        });
-    }
-
-    /// [`super::block_pass`] with the update applied if `UPDATE` and the
-    /// coefficients taken if `DOTS`.
-    ///
-    /// # Safety
-    /// AVX must be available, and every vector of `update` (if
-    /// `UPDATE`) and of `dots` (if `DOTS`) must have `w.len()` entries.
-    #[target_feature(enable = "avx")]
-    // SAFETY: caller contract (see `# Safety` above) — AVX confirmed,
-    // and every vector read is as long as `w`.
-    unsafe fn pass<const UPDATE: bool, const DOTS: bool>(
-        w: &mut [f64],
-        update: &Block,
-        h: &[f64; BLOCK],
-        dots: &Block,
-    ) -> [f64; BLOCK] {
-        let n = w.len();
-        let m = n - n % 8;
-        let wp = w.as_mut_ptr();
-        let mut hv = [_mm256_setzero_pd(); BLOCK];
-        for (v, &hg) in hv.iter_mut().zip(h) {
-            *v = _mm256_set1_pd(hg);
-        }
-        // acc[2j] holds dot_unrolled's lanes 0..4 of vector j, acc[2j+1]
-        // lanes 4..8
-        let mut acc = [_mm256_setzero_pd(); 2 * BLOCK];
-        let mut c = 0;
-        while c < m {
-            // SAFETY: `c + 8 ≤ m ≤ n`, and `w` and every vector read
-            // have `n` entries (caller contract), so each unaligned
-            // four-lane load and store at `c` and `c + 4` is in bounds.
-            unsafe {
-                let mut x0 = _mm256_loadu_pd(wp.add(c));
-                let mut x1 = _mm256_loadu_pd(wp.add(c + 4));
-                if UPDATE {
-                    for (b, &hg) in update.iter().zip(&hv) {
-                        let p = b.as_ptr().add(c);
-                        x0 = _mm256_add_pd(x0, _mm256_mul_pd(hg, _mm256_loadu_pd(p)));
-                        x1 = _mm256_add_pd(x1, _mm256_mul_pd(hg, _mm256_loadu_pd(p.add(4))));
-                    }
-                    _mm256_storeu_pd(wp.add(c), x0);
-                    _mm256_storeu_pd(wp.add(c + 4), x1);
-                }
-                if DOTS {
-                    for (a, b) in acc.chunks_exact_mut(2).zip(dots) {
-                        let p = b.as_ptr().add(c);
-                        a[0] = _mm256_add_pd(a[0], _mm256_mul_pd(_mm256_loadu_pd(p), x0));
-                        a[1] = _mm256_add_pd(a[1], _mm256_mul_pd(_mm256_loadu_pd(p.add(4)), x1));
-                    }
-                }
-            }
-            c += 8;
-        }
-        let tail = pass_tail(w, m, UPDATE.then_some((update, h)), DOTS.then_some(dots));
-        let mut out = [0.0f64; BLOCK];
-        if DOTS {
-            let mut lanes = [0.0f64; 8];
-            for ((o, a), &t) in out.iter_mut().zip(acc.chunks_exact(2)).zip(&tail) {
-                // SAFETY: `lanes` holds eight f64, room for the two
-                // four-lane stores at offsets 0 and 4.
-                unsafe {
-                    _mm256_storeu_pd(lanes.as_mut_ptr(), a[0]);
-                    _mm256_storeu_pd(lanes.as_mut_ptr().add(4), a[1]);
-                }
-                *o = fold_lanes(&lanes, t);
-            }
-        }
-        out
-    }
 }
 
 /// Euclidean norm.
@@ -410,7 +267,7 @@ mod tests {
                 let mut want = w0.clone();
                 block_sweep_reference(&mut want, &basis);
                 let mut got = w0.clone();
-                block_sweep_portable(&mut got, &basis);
+                block_sweep(&mut got, &basis);
                 let same = got
                     .iter()
                     .zip(&want)

@@ -6,11 +6,6 @@
 //! across chunks, so a 1-, 2-, 8-, or 32-thread pool must produce
 //! byte-identical output — including when threads vastly outnumber
 //! rows, and on degenerate graphs (no edges, a single edge).
-//!
-//! The multi-process backend extends the same contract across shard
-//! counts (`SOCMIX_SHARDS=1/2/4` bit-for-bit equal to shared memory);
-//! that half lives in `tests/shard_determinism.rs`, a harness-free
-//! binary because its workers are fork/execs of the test executable.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -144,15 +139,4 @@ fn empty_graph_all_widths() {
         let y = WalkOp::with_pool(&g, Pool::with_threads(t)).apply_vec(&[]);
         assert!(y.is_empty());
     }
-}
-
-#[test]
-fn spawn_dispatch_matches_persistent_bitwise() {
-    // the spawn-per-call baseline uses the same chunk geometry, so
-    // even it must agree bit-for-bit with the persistent runtime
-    let g = ba_graph();
-    let x = probe_vector(g.num_nodes());
-    let persistent = WalkOp::with_pool(&g, Pool::with_threads(4)).apply_vec(&x);
-    let spawned = WalkOp::with_pool(&g, Pool::with_threads(4).spawn_per_call()).apply_vec(&x);
-    assert_bitwise_eq(&persistent, &spawned, "spawn vs persistent");
 }

@@ -252,17 +252,13 @@ impl Config {
             },
             // Every SOCMIX_* knob must stay warn-once-validated and
             // manifest-recorded, so env reads live only in the
-            // designated knob modules. The shard module additionally
-            // owns the worker-rendezvous environment (socket path,
-            // shard index) on both ends of the fork/exec.
+            // designated knob modules.
             stray_env_read: Scope {
                 include: vec![],
                 exclude: strings(&[
                     "crates/obs/src/event.rs",
                     "crates/obs/src/lib.rs",
                     "crates/par/src/lib.rs",
-                    "crates/par/src/shard/mod.rs",
-                    "crates/par/src/shard/proc.rs",
                     "crates/core/src/probe.rs",
                     "crates/bench/src/manifest.rs",
                     "crates/serve/src/knobs.rs",
@@ -280,12 +276,10 @@ impl Config {
                 exclude: vec![],
             },
             // A panic on these paths must go through the runtime's
-            // catch_unwind poisoning protocol — and the shard comms/
-            // runtime modules must surface worker failures as typed
-            // `ShardError`s, never a parent-side panic. The trace
-            // recorder and exporter run inside those same paths (every
-            // pool op and shard frame opens a span), so they are held
-            // to the same standard: poisoned ring-buffer locks are
+            // catch_unwind poisoning protocol. The trace recorder and
+            // exporter run inside those same paths (every pool op
+            // opens a span), so they are held to the same standard:
+            // poisoned ring-buffer locks are
             // recovered, never unwrapped. The serve request path is in
             // scope for the same reason: a panicking worker thread
             // silently drops its connection and, under a poisoned
@@ -296,7 +290,6 @@ impl Config {
                     "crates/par/src/runtime.rs",
                     "crates/par/src/scheduler.rs",
                     "crates/par/src/dag.rs",
-                    "crates/par/src/shard/",
                     "crates/obs/src/trace.rs",
                     "crates/obs/src/export.rs",
                     "crates/serve/src/server.rs",
@@ -323,8 +316,8 @@ impl Config {
                 exclude: vec![],
             },
             // Memory-ordering justifications are owed everywhere: the
-            // pool, the shard runtime, the obs gate, the serve stop
-            // flag all synchronize through atomics.
+            // pool, the obs gate, the serve stop flag all synchronize
+            // through atomics.
             atomic_ordering: Scope::everywhere(),
             protocol_exhaustiveness: Scope::everywhere(),
             knob_registry: Scope::everywhere(),
@@ -334,35 +327,22 @@ impl Config {
             // workspace, and exactly the place where "relaxed is fine"
             // deserves a written argument.
             ordering_gates: strings(&["GATE"]),
-            protocols: vec![
-                ProtocolSpec {
-                    name: "shard".to_string(),
-                    decl: "crates/par/src/shard/frame.rs".to_string(),
-                    dispatch: strings(&["crates/par/src/shard/worker.rs"]),
-                    cap_fn: Some((
-                        "crates/par/src/shard/worker.rs".to_string(),
-                        "op_cap".to_string(),
-                    )),
-                },
-                ProtocolSpec {
-                    name: "serve".to_string(),
-                    decl: "crates/serve/src/frames.rs".to_string(),
-                    dispatch: strings(&["crates/serve/src/frames.rs"]),
-                    cap_fn: Some((
-                        "crates/serve/src/frames.rs".to_string(),
-                        "query_cap".to_string(),
-                    )),
-                },
-            ],
-            // The declarers: knob modules proper plus the shard
-            // rendezvous env. `bench/manifest.rs` mirrors knob names
-            // into run manifests but deliberately does NOT declare —
-            // a typo there must fail to resolve.
+            protocols: vec![ProtocolSpec {
+                name: "serve".to_string(),
+                decl: "crates/serve/src/frames.rs".to_string(),
+                dispatch: strings(&["crates/serve/src/frames.rs"]),
+                cap_fn: Some((
+                    "crates/serve/src/frames.rs".to_string(),
+                    "query_cap".to_string(),
+                )),
+            }],
+            // The declarers: the knob modules. `bench/manifest.rs`
+            // mirrors knob names into run manifests but deliberately
+            // does NOT declare — a typo there must fail to resolve.
             knob_modules: strings(&[
                 "crates/obs/src/event.rs",
                 "crates/obs/src/lib.rs",
                 "crates/par/src/lib.rs",
-                "crates/par/src/shard/mod.rs",
                 "crates/core/src/probe.rs",
                 "crates/serve/src/knobs.rs",
             ]),
@@ -476,10 +456,10 @@ mod tests {
     }
 
     #[test]
-    fn workspace_config_names_both_protocols() {
+    fn workspace_config_names_the_serve_protocol() {
         let cfg = Config::workspace();
         let names: Vec<_> = cfg.protocols.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, vec!["shard", "serve"]);
+        assert_eq!(names, vec!["serve"]);
         for p in &cfg.protocols {
             assert!(p.cap_fn.is_some(), "{} protocol has no cap table", p.name);
         }

@@ -324,8 +324,8 @@ fn extract_knobs(s: &str) -> Vec<&str> {
 }
 
 /// Word-boundary substring search: `word` appears in `text` not glued
-/// to other identifier characters (so `SOCMIX_SHARD` does not count as
-/// a mention of itself inside `SOCMIX_SHARDS`).
+/// to other identifier characters (so `SOCMIX_THREAD` does not count as
+/// a mention of itself inside `SOCMIX_THREADS`).
 fn mentions_word(text: &str, word: &str) -> bool {
     let bytes = text.as_bytes();
     let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
@@ -578,11 +578,11 @@ mod tests {
 
     #[test]
     fn word_boundary_mentions() {
-        assert!(mentions_word("use `SOCMIX_SHARDS` to", "SOCMIX_SHARDS"));
-        assert!(!mentions_word("use SOCMIX_SHARDS to", "SOCMIX_SHARD"));
+        assert!(mentions_word("use `SOCMIX_THREADS` to", "SOCMIX_THREADS"));
+        assert!(!mentions_word("use SOCMIX_THREADS to", "SOCMIX_THREAD"));
         assert!(mentions_word(
-            "SOCMIX_SHARD and SOCMIX_SHARDS",
-            "SOCMIX_SHARD"
+            "SOCMIX_THREAD and SOCMIX_THREADS",
+            "SOCMIX_THREAD"
         ));
     }
 

@@ -5,11 +5,7 @@
 //! `chrome://tracing` and <https://ui.perfetto.dev>): paired
 //! begin/end events become complete (`"ph": "X"`) slices with
 //! microsecond `ts`/`dur`, unpaired begins stay as `"B"` events, and
-//! recorder thread names ship as `"M"` metadata rows. Shard workers
-//! render their own event arrays with their own `pid` and send them
-//! over the wire as JSON; [`chrome_trace_document`] just concatenates
-//! arrays, which is what makes the merged multi-process timeline
-//! cheap.
+//! recorder thread names ship as `"M"` metadata rows.
 //!
 //! [`exclusive_profile`] post-processes the same slices into the
 //! manifest's per-stage table: for every span, exclusive time is its
@@ -111,8 +107,7 @@ pub fn chrome_events(
     out
 }
 
-/// Wraps merged event arrays (this process's plus each worker's) into
-/// the Chrome trace-event document.
+/// Wraps an event array into the Chrome trace-event document.
 pub fn chrome_trace_document(events: Vec<Value>) -> Value {
     Value::Obj(vec![
         ("traceEvents".into(), Value::Arr(events)),

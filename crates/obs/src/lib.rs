@@ -140,8 +140,7 @@ pub fn set_metrics_enabled(on: bool) {
 
 /// Turns trace recording on or off, overriding `SOCMIX_TRACE`.
 ///
-/// `repro --trace` calls this in the parent; shard workers flip it when
-/// the trace-context frame arrives (see `socmix-par`).
+/// `repro --trace` calls this before its stages run.
 pub fn set_trace_enabled(on: bool) {
     gate(); // resolve the environment first so lazy init cannot undo this
     if on {

@@ -1,6 +1,5 @@
 //! Hierarchical trace-event recorder: begin/end span events in
-//! per-thread ring buffers, with ids that stay unique across the shard
-//! worker processes.
+//! per-thread ring buffers.
 //!
 //! Where histograms answer "how is this latency distributed", a trace
 //! answers "where did *this* run's time go": every [`begin`]/[`end`]
@@ -19,20 +18,11 @@
 //!   the oldest event and counts it ([`dropped_events`]) instead of
 //!   growing without bound.
 //! - **Ids are process-unique.** A span id is `pid << 32 | seq`, so
-//!   events recorded in shard workers merge into the parent's trace
-//!   without collisions.
-//!
-//! # Cross-process context
-//!
-//! The shard layer forwards `(trace_id, parent_span_id)` plus a clock
-//! offset to each worker at spawn ([`set_context`]): the worker's
-//! top-level spans adopt the parent-process span as their parent, and
-//! [`drain`] shifts worker timestamps by the handshake offset so one
-//! merged timeline lines up across PIDs.
+//!   traces written by different processes never share an id.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -49,8 +39,7 @@ pub enum TracePhase {
 }
 
 /// One recorded begin/end event. Timestamps are nanoseconds since the
-/// process trace epoch (first clock use), shifted by the cross-process
-/// offset at [`drain`] time.
+/// process trace epoch (first clock use).
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
     pub phase: TracePhase,
@@ -79,30 +68,14 @@ struct ThreadBuf {
 static SPAN_SEQ: AtomicU64 = AtomicU64::new(1);
 /// Recorder thread-id sequence.
 static TID_SEQ: AtomicU64 = AtomicU64::new(1);
-/// The run's trace id; 0 until minted or adopted.
-static TRACE_ID: AtomicU64 = AtomicU64::new(0);
-/// Cross-process parent: the parent-process span adopted as the root
-/// parent for this process's top-level spans (0 in the parent itself).
-static ADOPTED_PARENT: AtomicU64 = AtomicU64::new(0);
-/// Nanoseconds to add to local timestamps at drain time so they land
-/// on the parent process's timeline (0 in the parent itself).
-static CLOCK_OFFSET_NS: AtomicI64 = AtomicI64::new(0);
-/// Parent-timeline instant at which this process adopted its context
-/// (0 in the parent itself): no event recorded after adoption can
-/// legitimately map earlier than this, so [`drain`] clamps against it
-/// instead of letting a skewed offset saturate timestamps to 0 and
-/// reorder the merged timeline.
-static CLAMP_FLOOR_NS: AtomicU64 = AtomicU64::new(0);
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Nanoseconds since this process's trace epoch (monotonic). The
-/// parent sends its reading to each worker at spawn; the worker stores
-/// the difference as its clock offset.
-pub fn clock_ns() -> u64 {
+/// Nanoseconds since this process's trace epoch (monotonic).
+fn clock_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
@@ -157,70 +130,6 @@ fn next_span_id() -> u64 {
     ((std::process::id() as u64) << 32) | seq
 }
 
-/// The run's trace id, minting a process-derived one on first use.
-pub fn trace_id() -> u64 {
-    let id = TRACE_ID.load(Ordering::Relaxed);
-    if id != 0 {
-        return id;
-    }
-    let fresh = ((std::process::id() as u64) << 32) | 1;
-    match TRACE_ID.compare_exchange(0, fresh, Ordering::Relaxed, Ordering::Relaxed) {
-        Ok(_) => fresh,
-        Err(current) => current,
-    }
-}
-
-/// Installs the cross-process context a shard worker receives at
-/// spawn: the run's trace id, the parent-process span its top-level
-/// spans adopt, and the clock offset applied at [`drain`].
-pub fn set_context(trace: u64, parent_span: u64, clock_offset_ns: i64) {
-    TRACE_ID.store(trace, Ordering::Relaxed);
-    ADOPTED_PARENT.store(parent_span, Ordering::Relaxed);
-    CLOCK_OFFSET_NS.store(clock_offset_ns, Ordering::Relaxed);
-    // Record where "now" lands on the parent timeline. Everything this
-    // process traces from here on happens at or after this instant, so
-    // it is the tightest sound floor for drain-time clamping. Only a
-    // negative offset can saturate timestamps toward 0, so the floor
-    // is armed only then — a non-negative offset (including the
-    // parent's own zero context) keeps the mapping untouched.
-    let floor = if clock_offset_ns < 0 {
-        offset_ts(clock_ns(), clock_offset_ns)
-    } else {
-        0
-    };
-    CLAMP_FLOOR_NS.store(floor, Ordering::Relaxed);
-}
-
-/// The installed `(trace_id, adopted_parent, clock_offset_ns)`.
-pub fn context() -> (u64, u64, i64) {
-    (
-        TRACE_ID.load(Ordering::Relaxed),
-        ADOPTED_PARENT.load(Ordering::Relaxed),
-        CLOCK_OFFSET_NS.load(Ordering::Relaxed),
-    )
-}
-
-/// The innermost open span on this thread, falling back to the adopted
-/// cross-process parent (0 = none). This is what the shard layer sends
-/// to workers as their parent span.
-pub fn current_span() -> u64 {
-    let mut current = 0;
-    let _ = LOCAL.try_with(|buf| {
-        current = buf
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .stack
-            .last()
-            .copied()
-            .unwrap_or(0);
-    });
-    if current == 0 {
-        ADOPTED_PARENT.load(Ordering::Relaxed)
-    } else {
-        current
-    }
-}
-
 /// Opens a span: records a `Begin` event and pushes it on this
 /// thread's stack. Returns the span id, or 0 (a no-op handle) when
 /// tracing is off.
@@ -238,11 +147,7 @@ pub(crate) fn begin_always(name: Cow<'static, str>) -> u64 {
     let span = next_span_id();
     let ts_ns = clock_ns();
     with_local(|b| {
-        let parent = b
-            .stack
-            .last()
-            .copied()
-            .unwrap_or_else(|| ADOPTED_PARENT.load(Ordering::Relaxed));
+        let parent = b.stack.last().copied().unwrap_or(0);
         b.stack.push(span);
         let tid = b.tid;
         push_event(
@@ -277,11 +182,7 @@ pub fn end(span: u64) {
                 break;
             }
         }
-        let parent = b
-            .stack
-            .last()
-            .copied()
-            .unwrap_or_else(|| ADOPTED_PARENT.load(Ordering::Relaxed));
+        let parent = b.stack.last().copied().unwrap_or(0);
         let tid = b.tid;
         push_event(
             b,
@@ -330,55 +231,16 @@ impl Drop for TraceSpan {
     }
 }
 
-/// Shifts a raw local timestamp onto the parent timeline. Saturates at
-/// the ends of the `u64` range; [`drain`] additionally clamps against
-/// the context-adoption floor so a skewed negative offset cannot push
-/// events before the adopted epoch.
-fn offset_ts(ts: u64, off: i64) -> u64 {
-    if off >= 0 {
-        ts.saturating_add(off as u64)
-    } else {
-        ts.saturating_sub(off.unsigned_abs())
-    }
-}
-
-/// Drains every thread's ring into one timestamp-sorted vector, with
-/// the cross-process clock offset applied. Span stacks are left
-/// intact, so draining mid-run (e.g. at snapshot time in a worker)
-/// keeps later events correctly parented.
-///
-/// Mapped timestamps are clamped to the context-adoption floor: under
-/// a large negative clock offset the raw mapping would saturate toward
-/// 0, producing spans that predate the trace epoch and sort ahead of
-/// the parent's own events. Clamped events keep their relative order
-/// (the sort is stable and ties break on span id), and the first
-/// clamping drain warns once so skewed-clock runs are diagnosable.
+/// Drains every thread's ring into one timestamp-sorted vector. Span
+/// stacks are left intact, so draining mid-run keeps later events
+/// correctly parented.
 pub fn drain() -> Vec<TraceEvent> {
-    let off = CLOCK_OFFSET_NS.load(Ordering::Relaxed);
-    let floor = CLAMP_FLOOR_NS.load(Ordering::Relaxed);
     let bufs: Vec<Arc<Mutex<ThreadBuf>>> =
         threads().lock().unwrap_or_else(|e| e.into_inner()).clone();
     let mut out = Vec::new();
-    let mut clamped = 0u64;
     for buf in bufs {
         let mut b = buf.lock().unwrap_or_else(|e| e.into_inner());
-        for mut ev in b.ring.drain(..) {
-            let mapped = offset_ts(ev.ts_ns, off);
-            ev.ts_ns = if mapped < floor {
-                clamped += 1;
-                floor
-            } else {
-                mapped
-            };
-            out.push(ev);
-        }
-    }
-    if clamped > 0 {
-        crate::warn_once!(
-            "trace",
-            "clock offset {off}ns mapped {clamped} trace event(s) before the adopted \
-             epoch; timestamps clamped to the context-adoption floor (skewed clocks?)"
-        );
+        out.extend(b.ring.drain(..));
     }
     out.sort_by_key(|a| (a.ts_ns, a.span));
     out
@@ -444,9 +306,7 @@ mod tests {
         let _ = drain();
         let outer = begin("outer");
         let inner = begin("inner");
-        assert_eq!(current_span(), inner);
         end(inner);
-        assert_eq!(current_span(), outer);
         end(outer);
         let events = drain();
         crate::set_trace_enabled(false);
@@ -460,9 +320,12 @@ mod tests {
             .find(|e| e.span == outer && e.phase == TracePhase::Begin)
             .expect("outer begin recorded");
         assert_eq!(begin_outer.parent, 0);
-        assert!(events
+        // an end event carries the span left open beneath it
+        let end_inner = events
             .iter()
-            .any(|e| e.phase == TracePhase::End && e.span == inner));
+            .find(|e| e.span == inner && e.phase == TracePhase::End)
+            .expect("inner end recorded");
+        assert_eq!(end_inner.parent, outer);
     }
 
     #[test]
@@ -491,70 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn adopted_context_parents_root_spans_and_shifts_clocks() {
-        let _g = crate::test_gate_lock();
-        crate::set_trace_enabled(true);
-        let _ = drain();
-        let saved = context();
-        set_context(0xfeed, 0xbeef, 1_000_000);
-        let span = begin("adopted");
-        end(span);
-        let events = drain();
-        let adopted_id = trace_id();
-        set_context(saved.0, saved.1, saved.2);
-        crate::set_trace_enabled(false);
-        let b = events
-            .iter()
-            .find(|e| e.span == span && e.phase == TracePhase::Begin)
-            .expect("begin recorded");
-        assert_eq!(b.parent, 0xbeef);
-        assert!(b.ts_ns >= 1_000_000, "offset not applied: {}", b.ts_ns);
-        assert_eq!(adopted_id, 0xfeed);
-    }
-
-    #[test]
-    fn negative_offset_clamps_to_adoption_floor_and_warns() {
-        let _g = crate::test_gate_lock();
-        crate::set_trace_enabled(true);
-        let prev_level = crate::log_level();
-        crate::set_log_level(crate::Level::Warn);
-        let _ = drain();
-        let _ = crate::take_recent_events();
-        let saved = context();
-        // A long-lived worker adopting a fresh context: events already
-        // in its rings predate the adoption, and under a negative
-        // clock offset their raw mapping lands before the parent-time
-        // of adoption (saturating toward 0), reordering the merged
-        // timeline. Any pre-adoption timestamp maps strictly below
-        // the floor, so the drain must clamp it up and warn.
-        let span = begin("pre-adoption");
-        end(span);
-        let off = -((clock_ns() / 2).max(1) as i64);
-        set_context(0xfeed, 0xbeef, off);
-        let floor = CLAMP_FLOOR_NS.load(Ordering::Relaxed);
-        assert!(floor > 0, "adoption floor should be on the timeline");
-        let events = drain();
-        let warnings = crate::take_recent_events();
-        set_context(saved.0, saved.1, saved.2);
-        crate::set_log_level(prev_level);
-        crate::set_trace_enabled(false);
-        let b = events
-            .iter()
-            .find(|e| e.span == span && e.phase == TracePhase::Begin)
-            .expect("begin recorded");
-        assert_eq!(
-            b.ts_ns, floor,
-            "pre-adoption timestamp should clamp exactly to the floor"
-        );
-        assert!(
-            warnings.iter().any(|w| w.contains("clamped")),
-            "clamping should warn once: {warnings:?}"
-        );
-        // Restoring the parent context disarms the floor.
-        assert_eq!(CLAMP_FLOOR_NS.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
     fn mismatched_nesting_unwinds_defensively() {
         let _g = crate::test_gate_lock();
         crate::set_trace_enabled(true);
@@ -562,9 +361,18 @@ mod tests {
         let outer = begin("outer");
         let _abandoned = begin("abandoned");
         end(outer); // closes outer, unwinding the abandoned child
-        assert_eq!(current_span(), 0);
-        let _ = drain();
+        let next = begin("next");
+        end(next);
+        let events = drain();
         crate::set_trace_enabled(false);
+        let b = events
+            .iter()
+            .find(|e| e.span == next && e.phase == TracePhase::Begin)
+            .expect("next begin recorded");
+        assert_eq!(
+            b.parent, 0,
+            "the abandoned child must not parent later spans"
+        );
     }
 
     #[test]

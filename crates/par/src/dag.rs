@@ -62,20 +62,6 @@ impl std::fmt::Display for DagError {
 
 impl std::error::Error for DagError {}
 
-/// Progress notifications emitted by [`run_dag_observed`].
-///
-/// Events fire on the thread running the task, immediately before and
-/// after its body. `Started` events for distinct tasks may interleave
-/// arbitrarily with `jobs > 1`; per task, `Started` always precedes
-/// `Finished`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DagEvent {
-    /// Task `task` is about to run.
-    Started { task: usize },
-    /// Task `task`'s body returned (not emitted if the body panicked).
-    Finished { task: usize },
-}
-
 /// Shared scheduler state behind one mutex.
 struct DagState {
     /// Ready-to-run task indices, ascending insertion order.
@@ -108,26 +94,6 @@ struct DagState {
 pub fn run_dag<F>(deps: &[Vec<usize>], jobs: usize, body: F) -> Result<(), DagError>
 where
     F: Fn(usize) + Sync,
-{
-    run_dag_observed(deps, jobs, body, |_| {})
-}
-
-/// As [`run_dag`], additionally reporting task lifecycle through
-/// `observer` (see [`DagEvent`]). The repro pipeline uses this to
-/// announce stage transitions to shard worker processes so their
-/// telemetry snapshots carry the stage they were serving.
-///
-/// The observer runs on task threads and must be cheap and
-/// panic-free; a panicking observer is treated like a panicking body.
-pub fn run_dag_observed<F, O>(
-    deps: &[Vec<usize>],
-    jobs: usize,
-    body: F,
-    observer: O,
-) -> Result<(), DagError>
-where
-    F: Fn(usize) + Sync,
-    O: Fn(DagEvent) + Sync,
 {
     let n = deps.len();
     let mut pending_deps = vec![0usize; n];
@@ -188,9 +154,7 @@ where
             poisoned: false,
         };
         while let Some(t) = state.ready.pop_front() {
-            observer(DagEvent::Started { task: t });
             body(t);
-            observer(DagEvent::Finished { task: t });
             state.completed += 1;
             for &dep in &dependents[t] {
                 state.pending_deps[dep] -= 1;
@@ -211,7 +175,6 @@ where
     let cv = Condvar::new();
     let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     let body = &body;
-    let observer = &observer;
     let state = &state;
     let cv = &cv;
     let panic_payload = &panic_payload;
@@ -236,11 +199,7 @@ where
                         s = cv.wait(s).unwrap_or_else(|e| e.into_inner());
                     }
                 };
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    observer(DagEvent::Started { task });
-                    body(task);
-                    observer(DagEvent::Finished { task });
-                }));
+                let result = std::panic::catch_unwind(AssertUnwindSafe(|| body(task)));
                 let mut s = state.lock().unwrap_or_else(|e| e.into_inner());
                 s.completed += 1;
                 match result {
@@ -395,43 +354,6 @@ mod tests {
         }));
         assert!(result.is_err(), "panic must propagate");
         assert_eq!(ran.load(Ordering::Relaxed), 0, "dependent must not run");
-    }
-
-    #[test]
-    fn observer_sees_start_and_finish_per_task() {
-        for jobs in [1, 3] {
-            let events = StdMutex::new(Vec::new());
-            run_dag_observed(
-                &[vec![], vec![0], vec![0]],
-                jobs,
-                |_| {},
-                |e| events.lock().unwrap().push(e),
-            )
-            .unwrap();
-            let events = events.into_inner().unwrap();
-            assert_eq!(events.len(), 6);
-            for t in 0..3 {
-                let start = events
-                    .iter()
-                    .position(|e| *e == DagEvent::Started { task: t })
-                    .expect("start event");
-                let finish = events
-                    .iter()
-                    .position(|e| *e == DagEvent::Finished { task: t })
-                    .expect("finish event");
-                assert!(start < finish, "task {t}: start must precede finish");
-            }
-            // dependency ordering holds for events too
-            let f0 = events
-                .iter()
-                .position(|e| *e == DagEvent::Finished { task: 0 })
-                .unwrap();
-            let s1 = events
-                .iter()
-                .position(|e| *e == DagEvent::Started { task: 1 })
-                .unwrap();
-            assert!(f0 < s1, "dependent started before dependency finished");
-        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! `t − 1` workers exist (capped by how many chunks the job actually
 //! has). `SOCMIX_THREADS` bounds the *default* pool width via
 //! [`crate::num_threads`]; explicit [`crate::Pool::with_threads`]
-//! requests can still grow past it, exactly as spawn-per-call could.
+//! requests can still grow past it.
 //!
 //! # Why this is sound
 //!

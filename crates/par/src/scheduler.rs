@@ -1,16 +1,8 @@
 //! Dynamic chunked scheduling over an index space.
 //!
 //! All entry points cut `0..n` into the same [`ChunkPlan`] and hand
-//! chunks out from an atomic cursor; what differs is *dispatch* — how
-//! threads come to be running the chunk loop. The default is the
-//! persistent runtime (`crate::runtime`): workers spawned once, parked
-//! between jobs. The old spawn-per-call dispatch is kept as
-//! [`par_for_each_chunk_spawn`], the benchmark baseline that the
-//! dispatch-overhead bench (`socmix-bench`, `benches/pool.rs`)
-//! measures the runtime against.
-
-use crate::pool::Dispatch;
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! chunks out from an atomic cursor on the persistent runtime
+//! (`crate::runtime`): workers spawned once, parked between jobs.
 
 /// How an index space `0..n` is cut into work units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,61 +56,6 @@ where
     crate::runtime::run(ChunkPlan::new(n, threads), threads, &body);
 }
 
-/// As [`par_for_each_chunk`], dispatching by spawning (and joining)
-/// fresh scoped threads for this one call.
-///
-/// This is the pre-runtime dispatch strategy, kept as the measured
-/// baseline for the pool benches and for callers that explicitly do
-/// not want the process to retain parked workers. Chunk geometry is
-/// identical to the persistent path, so results are bit-for-bit the
-/// same.
-pub fn par_for_each_chunk_spawn<F>(n: usize, threads: usize, body: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    spawn_run(ChunkPlan::new(n, threads), threads, &body);
-}
-
-/// Spawn-per-call dispatch over an explicit plan.
-fn spawn_run(plan: ChunkPlan, threads: usize, body: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
-    let units = plan.units();
-    if units == 0 {
-        return;
-    }
-    if threads <= 1 || units == 1 {
-        for u in 0..units {
-            body(plan.range(u));
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let cursor = &cursor;
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(units) {
-            scope.spawn(move || loop {
-                let u = cursor.fetch_add(1, Ordering::Relaxed);
-                if u >= units {
-                    break;
-                }
-                body(plan.range(u));
-            });
-        }
-    });
-}
-
-/// Dispatch-selected chunk runner shared by the `Pool` methods.
-pub(crate) fn run_dispatch(
-    plan: ChunkPlan,
-    threads: usize,
-    dispatch: Dispatch,
-    body: &(dyn Fn(std::ops::Range<usize>) + Sync),
-) {
-    match dispatch {
-        Dispatch::Persistent => crate::runtime::run(plan, threads, body),
-        Dispatch::Spawn => spawn_run(plan, threads, body),
-    }
-}
-
 /// Maps `f` over `0..n` in parallel and collects results in index order.
 pub fn par_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
@@ -134,20 +71,6 @@ where
     T: Send + Default + Clone,
     F: Fn(usize) -> T + Sync,
 {
-    map_indexed_dispatch(n, threads, Dispatch::Persistent, f)
-}
-
-/// Dispatch-selected map used by [`crate::Pool::map_indexed`].
-pub(crate) fn map_indexed_dispatch<T, F>(
-    n: usize,
-    threads: usize,
-    dispatch: Dispatch,
-    f: F,
-) -> Vec<T>
-where
-    T: Send + Default + Clone,
-    F: Fn(usize) -> T + Sync,
-{
     let mut out = vec![T::default(); n];
     {
         // Each chunk owns a disjoint slice of `out`; hand out raw parts
@@ -155,10 +78,9 @@ where
         let base = SendPtr(out.as_mut_ptr());
         let base = &base;
         let f = &f;
-        run_dispatch(
+        crate::runtime::run(
             ChunkPlan::new(n, threads),
             threads,
-            dispatch,
             &move |range: std::ops::Range<usize>| {
                 for i in range {
                     // SAFETY: chunks are disjoint half-open ranges of
@@ -189,25 +111,17 @@ where
     F: Fn(usize) -> T + Sync,
     R: Fn(T, T) -> T + Sync + Send,
 {
-    reduce_indexed_dispatch(
-        n,
-        crate::num_threads(),
-        Dispatch::Persistent,
-        identity,
-        f,
-        fold,
-    )
+    par_reduce_indexed_with(n, crate::num_threads(), identity, f, fold)
 }
 
-/// Dispatch-selected reduce used by [`crate::Pool::reduce_indexed`].
+/// As [`par_reduce_indexed`] but with an explicit thread count.
 ///
 /// Partials live in one slot per chunk — workers never contend on a
 /// lock (the old implementation pushed partials through a
 /// `Mutex<Vec<T>>`, serializing every chunk completion).
-pub(crate) fn reduce_indexed_dispatch<T, F, R>(
+pub(crate) fn par_reduce_indexed_with<T, F, R>(
     n: usize,
     threads: usize,
-    dispatch: Dispatch,
     identity: T,
     f: F,
     fold: R,
@@ -230,9 +144,7 @@ where
         let fold = &fold;
         let identity = &identity;
         let chunk = plan.chunk;
-        run_dispatch(plan, threads, dispatch, &move |range: std::ops::Range<
-            usize,
-        >| {
+        crate::runtime::run(plan, threads, &move |range: std::ops::Range<usize>| {
             let u = range.start / chunk;
             let mut acc = identity.clone();
             for i in range {
@@ -324,43 +236,16 @@ mod tests {
     fn reduce_is_repeatable_for_floats() {
         // per-chunk slots folded in chunk order: the float association
         // is fixed for a given thread count, so reruns agree exactly
-        let run = || {
-            reduce_indexed_dispatch(
-                5_000,
-                4,
-                Dispatch::Persistent,
-                0.0f64,
-                |i| 1.0 / (i + 1) as f64,
-                |a, b| a + b,
-            )
-        };
+        let run =
+            || par_reduce_indexed_with(5_000, 4, 0.0f64, |i| 1.0 / (i + 1) as f64, |a, b| a + b);
         let a = run();
         let b = run();
         assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]
-    fn spawn_and_persistent_dispatch_agree() {
-        use std::sync::atomic::AtomicU32;
-        for n in [1usize, 5, 513, 2000] {
-            let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-            par_for_each_chunk(n, 4, |range| {
-                for i in range {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            par_for_each_chunk_spawn(n, 4, |range| {
-                for i in range {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 2), "n={n}");
-        }
-    }
-
-    #[test]
     fn for_each_chunk_disjoint_writes() {
-        use std::sync::atomic::AtomicU32;
+        use std::sync::atomic::{AtomicU32, Ordering};
         let hits: Vec<AtomicU32> = (0..513).map(|_| AtomicU32::new(0)).collect();
         par_for_each_chunk(513, 4, |range| {
             for i in range {

@@ -25,10 +25,6 @@ fn usage() -> ! {
 }
 
 fn main() {
-    // Must run before anything else: a process relaunched as a shard
-    // worker serves frames and exits instead of becoming a server.
-    socmix_par::shard::worker_check();
-
     let mut cfg = ServeConfig::from_env();
     let mut cache_dir = std::path::PathBuf::from("results/cache");
     let mut preload: Vec<String> = Vec::new();

@@ -93,8 +93,8 @@ pub fn check_escape(lg: &LoadedGraph, nodes: &[u64], w: usize) -> Result<(), Str
 /// [`WalkOp::apply`]. So the walk starts from x_0 = D·1_S, takes `w`
 /// applies and ends with h_w = D⁻¹·x_w. An isolated node gets 0, as
 /// the forward walk gave it: the operator drops an isolated node's
-/// mass. Each apply gives the same bits at every pool width and shard
-/// count, so the table does too.
+/// mass. Each apply gives the same bits at every pool width, so the
+/// table does too.
 pub fn escape_table(lg: &LoadedGraph, w: usize, pool: Pool) -> Result<Vec<f64>, String> {
     check_escape(lg, &[], w)?;
     let attacked = &lg.attacked;

@@ -3,15 +3,26 @@
 //!
 //! Every test binds its own server on an ephemeral port with its own
 //! temp cache dir, so the suite parallelizes under the normal libtest
-//! harness (no shard workers are spawned in-process).
+//! harness.
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use socmix_par::shard::frame;
-use socmix_serve::frames::{OP_Q_ESCAPE, OP_Q_MIX, REPLY_Q_ERR, REPLY_Q_OK, REPLY_Q_SHED};
+use socmix_serve::frames::{
+    OP_Q_ESCAPE, OP_Q_METRICS, OP_Q_MIX, REPLY_Q_ERR, REPLY_Q_OK, REPLY_Q_SHED,
+};
 use socmix_serve::{ServeConfig, Server, SHED_BODY};
+
+/// The client side of the serve codec: replies are read with no
+/// per-opcode cap (a metrics snapshot can be any size).
+mod frame {
+    pub use socmix_serve::frames::write_frame;
+
+    pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<(u8, Vec<u8>)> {
+        socmix_serve::frames::read_frame_capped(r, |_| u64::MAX)
+    }
+}
 
 /// A throwaway config bound to ephemeral ports.
 fn test_config() -> ServeConfig {
@@ -274,6 +285,53 @@ fn frame_listener_matches_http_answers() {
     // Release the worker serving this connection before joining it.
     drop(writer);
     drop(reader);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn oversized_frame_header_gets_a_typed_error_and_a_closed_connection() {
+    let dir = temp_cache("frame-caps");
+    let server = Server::start(test_config(), &dir).expect("server starts");
+    let frame_addr = server.frame_addr().expect("frame listener enabled");
+    let connect = || {
+        let stream = TcpStream::connect(frame_addr).expect("connect to frame listener");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        stream
+    };
+    // One byte over each opcode's payload cap. Only the header is
+    // sent: the listener must refuse on the announced length alone,
+    // before reading (or allocating for) any payload.
+    for (op, cap) in [(OP_Q_METRICS, 4u64 << 10), (OP_Q_MIX, 1u64 << 20)] {
+        let mut stream = connect();
+        let mut header = vec![op];
+        header.extend_from_slice(&(cap + 1).to_le_bytes());
+        stream.write_all(&header).expect("send oversized header");
+        let (reply, payload) = frame::read_frame(&mut stream).expect("error reply");
+        assert_eq!(reply, REPLY_Q_ERR, "opcode {op:#04x}");
+        let body = String::from_utf8_lossy(&payload);
+        let doc = socmix_obs::parse(&body).expect("error reply is JSON");
+        let msg = doc
+            .get("error")
+            .and_then(socmix_obs::Value::as_str)
+            .expect("error field");
+        assert!(
+            msg.contains(&format!("exceeds cap {cap}")),
+            "opcode {op:#04x}: {msg}"
+        );
+        // The listener drops the connection after the error reply.
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("clean close");
+        assert!(rest.is_empty(), "opcode {op:#04x}: bytes after the error");
+    }
+    // A fresh connection is still answered.
+    let mut stream = connect();
+    frame::write_frame(&mut stream, OP_Q_METRICS, b"{}").expect("send metrics query");
+    let (reply, _) = frame::read_frame(&mut stream).expect("metrics reply");
+    assert_eq!(reply, REPLY_Q_OK);
+    drop(stream);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

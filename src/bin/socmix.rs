@@ -3,9 +3,6 @@
 //! See `socmix help` (or [`socmix::cli::USAGE`]) for commands.
 
 fn main() {
-    // Must precede parsing: re-enters this binary as a shard worker
-    // when spawned with the `shard-worker` subcommand (SOCMIX_SHARDS).
-    socmix::par::shard::worker_check();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = match socmix::cli::parse(&args) {
         Ok(c) => c,
