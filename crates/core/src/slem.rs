@@ -28,7 +28,15 @@ pub enum SlemMethod {
 #[derive(Debug, Clone)]
 pub struct SlemEstimate {
     /// `µ = max(λ₂, −λₙ)` — the second largest eigenvalue modulus.
+    /// The backends approach µ from below, so this is the lower end
+    /// of its interval `[mu, mu_hi]`.
     pub mu: f64,
+    /// Upper end of µ's interval. For Lanczos it comes from the error
+    /// bounds of the extreme Ritz values, which
+    /// [`socmix_linalg::lanczos`] certifies under a stated assumption;
+    /// dense Jacobi gives `mu` itself. `None` for power iteration,
+    /// which bounds no error.
+    pub mu_hi: Option<f64>,
     /// Second largest eigenvalue λ₂ (when the backend resolves it;
     /// the power backend only resolves the dominant modulus).
     pub lambda2: Option<f64>,
@@ -174,8 +182,10 @@ impl<'g> Slem<'g> {
                 let s = dense::DenseMatrix::symmetric_walk_matrix(g);
                 let (vals, _) = dense::jacobi_eigen(&s);
                 let n = g.num_nodes();
+                let mu = vals[1].max(-vals[n - 1]);
                 SlemEstimate {
-                    mu: vals[1].max(-vals[n - 1]),
+                    mu,
+                    mu_hi: Some(mu),
                     lambda2: Some(vals[1]),
                     lambda_n: Some(vals[n - 1]),
                     method: SlemMethod::Dense,
@@ -188,8 +198,13 @@ impl<'g> Slem<'g> {
                 let basis = vec![sop.top_eigenvector()];
                 let defl = DeflatedOp::new(sop, &basis);
                 let r = lanczos_extreme(&defl, self.lanczos_opts, &mut rng);
+                let mu = r.top.max(-r.bottom).clamp(0.0, 1.0);
+                // λ₂ ≤ top + top_bound and −λₙ ≤ −bottom + bottom_bound,
+                // and no walk eigenvalue exceeds 1 in modulus
+                let hi = (r.top + r.top_bound).max(r.bottom_bound - r.bottom);
                 SlemEstimate {
-                    mu: r.top.max(-r.bottom).clamp(0.0, 1.0),
+                    mu,
+                    mu_hi: Some(hi.clamp(mu, 1.0)),
                     lambda2: Some(r.top),
                     lambda_n: Some(r.bottom),
                     method: SlemMethod::Lanczos,
@@ -204,6 +219,7 @@ impl<'g> Slem<'g> {
                 let mu = spectral_radius_in_complement(&defl, self.power_opts, &mut rng);
                 SlemEstimate {
                     mu: mu.radius.clamp(0.0, 1.0),
+                    mu_hi: None,
                     lambda2: None,
                     lambda_n: None,
                     method: SlemMethod::PowerIteration,

@@ -10,18 +10,48 @@
 //! (Paige 1980; Cullum & Willoughby, *Lanczos Algorithms for Large
 //! Symmetric Eigenvalue Computations*, 1985). A ghost never moves the
 //! extreme Ritz values, but it shares a converged value without its
-//! small residual bound, so the convergence test takes the smallest
-//! bound among the Ritz values within [`GHOST_TOL`] of an extreme one.
+//! small residual bound, so each extreme value's residual r is the
+//! smallest bound among the Ritz values within `GHOST_TOL` (1e-10) of
+//! it.
+//!
+//! # What a converged solve certifies
+//!
+//! The stop test bounds the error of each extreme Ritz value, not its
+//! residual. For the top value θ, let θ' be the first Ritz value
+//! outside θ's ghost cluster and r' its ghost-aware residual; the gap
+//! is δ = θ − (θ' + r'). Where δ > r, the Kato–Temple inequality
+//! (Parlett, *The Symmetric Eigenvalue Problem*) puts the largest
+//! eigenvalue within r²/δ above θ; otherwise the bound is r itself.
+//! The bottom value is the mirror image. Neither bound falls below
+//! k·ε·‖T‖ after k steps, an allowance for rounding: where the Krylov
+//! space runs out, r is 0 but θ still carries the rounding of every
+//! step (1.2e-15 at the bottom of C₂₀₀ after 100 steps). A converged
+//! result certifies
+//!
+//! - `λ_max ∈ [top, top + top_bound]` and
+//! - `λ_min ∈ [bottom − bottom_bound, bottom]`
+//!
+//! ([`LanczosResult`]'s fields), with both bounds below
+//! [`LanczosOptions::tol`]. The lower end of the first interval and the
+//! upper end of the second hold by interlacing. The other ends assume
+//! that the Krylov space has found every eigenvalue above θ' + r'
+//! (below θ' − r' at the bottom): an eigenvalue the start vector missed
+//! can hide there. A residual test has the same blind spot. A ghost
+//! still forming beside an extreme value has a large residual, which
+//! makes δ ≤ r, so the bound falls back to r. The bound never exceeds
+//! r or the rounding allowance, so for any tolerance above that
+//! allowance a solve stops no later than a test of the residuals alone
+//! would stop it.
 //!
 //! [`lanczos_topk`] returns Ritz vectors, so it stores its basis and
 //! orthogonalizes each new vector against all of it: one Gram–Schmidt
 //! sweep per step, repeated only when the DGKS test says the first
-//! lost orthogonality (see [`reorthogonalize`]). The sweep is
-//! [`block_sweep`], which takes eight coefficients per pass over `w`;
-//! its last ‖w‖ is the step's β. The
-//! convergence checks of every driver need only the last row of the
-//! tridiagonal eigenvector matrix, which [`tridiag_eigen_last_row`]
-//! computes in O(k²) instead of O(k³).
+//! lost orthogonality. The sweep is `vecops::block_sweep`, which takes
+//! eight coefficients per pass over `w`; its last ‖w‖ is the step's β.
+//! A vector's error is linear in its residual, so `lanczos_topk` stops
+//! on the residual of its k-th pair. The convergence checks of every
+//! driver need only the last row of the tridiagonal eigenvector matrix,
+//! which [`tridiag_eigen_last_row`] computes in O(k²) instead of O(k³).
 
 use crate::op::LinearOp;
 use crate::tridiag::{tridiag_eigen, tridiag_eigen_last_row};
@@ -54,7 +84,10 @@ pub struct LanczosOptions {
     /// this bounds only its time; [`lanczos_topk`] stores one vector
     /// per step, so for it this is also the basis size.
     pub max_iter: usize,
-    /// Residual tolerance for the extreme Ritz pairs.
+    /// Tolerance. [`lanczos_extreme`] stops once the certified error
+    /// bound of each extreme Ritz value is below it (see the module
+    /// docs for what is certified, and under which assumption);
+    /// [`lanczos_topk`] stops once its k-th pair's residual is.
     pub tol: f64,
     /// Check convergence every this many steps.
     pub check_every: usize,
@@ -81,9 +114,20 @@ pub struct LanczosResult {
     pub top_residual: f64,
     /// Residual bound for the bottom pair.
     pub bottom_residual: f64,
+    /// Error bound of `top`: the largest eigenvalue lies in
+    /// `[top, top + top_bound]` (module docs). At most `top_residual`
+    /// or the rounding allowance, whichever is larger.
+    pub top_bound: f64,
+    /// Error bound of `bottom`: the smallest eigenvalue lies in
+    /// `[bottom - bottom_bound, bottom]`. At most `bottom_residual` or
+    /// the rounding allowance.
+    pub bottom_bound: f64,
     /// Lanczos steps taken.
     pub iterations: usize,
-    /// Whether both residuals met the tolerance.
+    /// Whether both error bounds met the tolerance, so that the two
+    /// intervals above are certified: they hold unless the Krylov
+    /// space missed an eigenvalue between the extreme values and the
+    /// next ones (module docs).
     pub converged: bool,
 }
 
@@ -94,6 +138,8 @@ const ZERO_SPECTRUM: LanczosResult = LanczosResult {
     bottom: 0.0,
     top_residual: 0.0,
     bottom_residual: 0.0,
+    top_bound: 0.0,
+    bottom_bound: 0.0,
     iterations: 0,
     converged: true,
 };
@@ -105,8 +151,9 @@ const ZERO_SPECTRUM: LanczosResult = LanczosResult {
 /// operator restricted to a subspace should wrap it in
 /// [`crate::op::DeflatedOp`], whose projection is applied on every
 /// operator application, keeping the Krylov space orthogonal to the
-/// deflated directions. The residual bounds are ghost-aware (see the
-/// module docs).
+/// deflated directions. The residuals are ghost-aware, and the solve
+/// stops once both extreme values' error bounds are below `opts.tol`
+/// (see the module docs).
 ///
 /// # Panics
 ///
@@ -161,27 +208,54 @@ pub fn lanczos_extreme<Op: LinearOp, R: Rng + ?Sized>(
 
 /// The extreme Ritz values of the tridiagonal matrix with diagonal
 /// `alphas` and off-diagonal `betas` (whose last entry is the β of the
-/// step that would come next), with their ghost-aware residual bounds.
+/// step that would come next), with their ghost-aware residuals and
+/// error bounds.
 fn extreme_ritz(alphas: &[f64], betas: &[f64], tol: f64) -> LanczosResult {
     let k = alphas.len();
     let (vals, last) = tridiag_eigen_last_row(alphas, &betas[..k - 1]);
     let beta_last = betas[k - 1];
-    let res_top = ghost_aware_residual(&vals, &last, beta_last, 0);
-    let res_bot = ghost_aware_residual(&vals, &last, beta_last, k - 1);
-    // residual trajectory: one event per convergence check
+    let residual = |i| ghost_aware_residual(&vals, &last, beta_last, i);
+    let (top, bottom) = (vals[0], vals[k - 1]);
+    let (res_top, res_bot) = (residual(0), residual(k - 1));
+    // the first Ritz value outside each extreme value's ghost cluster
+    let next_top = vals.iter().position(|&v| top - v > GHOST_TOL);
+    let next_bot = vals.iter().rposition(|&v| v - bottom > GHOST_TOL);
+    let top_bound = next_top.map_or(res_top, |j| {
+        kato_temple(res_top, top - (vals[j] + residual(j)))
+    });
+    let bottom_bound = next_bot.map_or(res_bot, |j| {
+        kato_temple(res_bot, (vals[j] - residual(j)) - bottom)
+    });
+    // no bound is below the rounding of k steps, each exact to about
+    // ε·‖T‖: where the Krylov space runs out, r is 0 but θ is not exact
+    let rounding = k as f64 * f64::EPSILON * top.abs().max(bottom.abs());
+    let (top_bound, bottom_bound) = (top_bound.max(rounding), bottom_bound.max(rounding));
+    // convergence trajectory: one event per check
     obs_debug!(
         "linalg.lanczos",
-        "step {k}: ritz [{:.8}, {:.8}] residuals [{res_top:.3e}, {res_bot:.3e}]",
-        vals[k - 1],
-        vals[0]
+        "step {k}: ritz [{bottom:.8}, {top:.8}] residuals [{res_bot:.3e}, {res_top:.3e}] \
+         bounds [{bottom_bound:.3e}, {top_bound:.3e}]"
     );
     LanczosResult {
-        top: vals[0],
-        bottom: vals[k - 1],
+        top,
+        bottom,
         top_residual: res_top,
         bottom_residual: res_bot,
+        top_bound,
+        bottom_bound,
         iterations: k,
-        converged: res_top < tol && res_bot < tol,
+        converged: top_bound < tol && bottom_bound < tol,
+    }
+}
+
+/// Error bound of an extreme Ritz value with residual `r` and gap `gap`
+/// to the rest of the spectrum: `r²/gap` (Kato–Temple) where the gap
+/// exceeds `r`, and `r` itself otherwise.
+fn kato_temple(r: f64, gap: f64) -> f64 {
+    if gap > r {
+        r * r / gap
+    } else {
+        r
     }
 }
 
@@ -528,6 +602,82 @@ mod tests {
         );
     }
 
+    /// Asserts that `r`'s intervals hold Jacobi's extremes `hi` and
+    /// `lo`, and are no wider than the residuals or the rounding
+    /// allowance. Jacobi's values are themselves off by about 3e-14 on
+    /// the graphs here, so they get 1e-12 of slack; the closed-form
+    /// corpus in the root `tests/` checks to 1e-15.
+    fn assert_certifies(r: &LanczosResult, hi: f64, lo: f64, case: &str) {
+        const SLACK: f64 = 1e-12;
+        assert!(
+            r.top - SLACK <= hi && hi <= r.top + r.top_bound + SLACK,
+            "{case}: λ_max {hi} outside [{}, +{:e}]",
+            r.top,
+            r.top_bound
+        );
+        assert!(
+            r.bottom - r.bottom_bound - SLACK <= lo && lo <= r.bottom + SLACK,
+            "{case}: λ_min {lo} outside [{}, -{:e}]",
+            r.bottom,
+            r.bottom_bound
+        );
+        let rounding = r.iterations as f64 * f64::EPSILON;
+        assert!(r.top_bound <= r.top_residual.max(rounding), "{case}");
+        assert!(r.bottom_bound <= r.bottom_residual.max(rounding), "{case}");
+    }
+
+    #[test]
+    fn bounds_hold_the_true_extremes_at_every_step_count() {
+        // Fixed step counts from 10 to past the operator's dimension
+        // (tol 0 never passes): the intervals must hold Jacobi's values
+        // long before convergence too.
+        let n = 200;
+        for seed in [46, 47] {
+            let g = random_connected_graph(n as u32, 400, seed);
+            let (jv, _) = jacobi_eigen(&DenseMatrix::symmetric_walk_matrix(&g));
+            let sop = SymmetricWalkOp::new(&g);
+            let basis = vec![sop.top_eigenvector()];
+            let defl = DeflatedOp::new(sop, &basis);
+            for steps in (10..=300).step_by(10) {
+                let opts = LanczosOptions {
+                    max_iter: steps,
+                    tol: 0.0,
+                    check_every: steps,
+                };
+                let r = lanczos_extreme(&defl, opts, &mut StdRng::seed_from_u64(seed));
+                let case = format!("seed {seed}, {steps} steps");
+                assert_certifies(&r, jv[1], jv[n - 1], &case);
+            }
+        }
+    }
+
+    #[test]
+    fn kato_temple_bound_unless_the_next_value_is_still_forming() {
+        // Two Ritz values 0.1 apart, with residuals β·|s| of about
+        // 1e-7 (top) and 1e-3 (bottom). Each one's gap is about 0.1,
+        // so its bound r²/δ is far below its residual r.
+        let r = extreme_ritz(&[1.0, 0.9], &[1e-5, 1e-3], 1e-9);
+        assert!(r.top_residual > 5e-8 && r.top_residual < 2e-7, "{r:?}");
+        let gap = r.top - (r.bottom + r.bottom_residual);
+        assert!(gap > 0.09, "{r:?}");
+        assert_eq!(r.top_bound, r.top_residual * r.top_residual / gap);
+        let gap = (r.top - r.top_residual) - r.bottom;
+        assert_eq!(r.bottom_bound, r.bottom_residual * r.bottom_residual / gap);
+        // the top is certified to 1e-13, the bottom only to 1e-5
+        assert!(r.top_bound < 1e-12 && !r.converged, "{r:?}");
+        // The lower value 5e-9 away, outside the ghost cluster, with a
+        // residual of about 1e-5: a ghost still forming beside the top
+        // value. Its residual closes the gap, so the bound is r.
+        let r = extreme_ritz(&[1.0, 1.0 - 5e-9], &[5e-13, 1e-5], 1e-9);
+        assert!(
+            r.top - r.bottom > GHOST_TOL && r.bottom_residual > 5e-6,
+            "{r:?}"
+        );
+        assert_eq!(r.top_bound, r.top_residual);
+        assert_eq!(r.bottom_bound, r.bottom_residual);
+        assert!(!r.converged, "{r:?}");
+    }
+
     #[test]
     fn extremes_hold_well_past_convergence_among_ghosts() {
         // tol 0 never passes, so each run takes exactly `max_iter`
@@ -559,6 +709,8 @@ mod tests {
                     r.top_residual,
                     r.bottom_residual
                 );
+                let case = format!("start {start}, {steps} steps");
+                assert_certifies(&r, jv[1], jv[n - 1], &case);
             }
         }
     }

@@ -9,9 +9,9 @@
 //! `B` contiguous doubles, which the compiler auto-vectorizes.
 //!
 //! [`MultiLinearOp::apply_multi`] is the batched counterpart of
-//! [`LinearOp::apply`](crate::LinearOp::apply); per column it performs
-//! the same floating-point operations in the same order as the serial
-//! kernel, so batched results are bit-for-bit equal.
+//! [`LinearOp::apply`]; per column it performs the same floating-point
+//! operations in the same order as the serial kernel, so batched
+//! results are bit-for-bit equal.
 
 use crate::op::{LazyOp, LinearOp, SendMut, WalkOp};
 use socmix_obs::Counter;
@@ -130,10 +130,9 @@ impl MultiVec {
 /// # Exactness contract
 ///
 /// For every active column `c`, `apply_multi` must produce exactly the
-/// floating-point result of the serial
-/// [`LinearOp::apply`](crate::LinearOp::apply) on that column: same
-/// operations, same order, no reassociation. The batch engine's
-/// equivalence tests rely on it.
+/// floating-point result of the serial [`LinearOp::apply`] on that
+/// column: same operations, same order, no reassociation. The batch
+/// engine's equivalence tests rely on it.
 pub trait MultiLinearOp: LinearOp {
     /// Raw-slice core: computes `Y[:, 0..width] = Op · X[:, 0..width]`
     /// over row-major blocks with `stride` doubles per row. `xs` and

@@ -26,7 +26,7 @@ use crate::config::{Config, ProtocolSpec, Rule};
 use crate::index::{ConstItem, FileIndex};
 use crate::rules::{apply_pragmas, run_per_file_rules, Analysis, Diagnostic};
 
-/// One analyzed source file: the token-level [`Analysis`] (pass 1a)
+/// One analyzed source file: the token-level `Analysis` (pass 1a)
 /// and the item-level [`FileIndex`] (pass 1b), both built exactly once
 /// and shared by every rule and audit renderer.
 pub struct SourceFile {

@@ -111,9 +111,9 @@ fn ring() -> &'static Mutex<VecDeque<String>> {
     RING.get_or_init(|| Mutex::new(VecDeque::new()))
 }
 
-/// Formats and emits one event. Callers go through [`obs_event!`]
-/// (which performs the level check); calling this directly emits
-/// unconditionally.
+/// Formats and emits one event. Callers go through
+/// [`obs_event!`](crate::obs_event!) (which performs the level check);
+/// calling this directly emits unconditionally.
 pub fn emit(level: Level, target: &str, args: std::fmt::Arguments<'_>) {
     let line = format!("[socmix {} {}] {}", level.name(), target, args);
     {
@@ -152,7 +152,7 @@ macro_rules! obs_event {
     };
 }
 
-/// [`obs_event!`] at `Level::Warn`.
+/// [`obs_event!`](crate::obs_event!) at `Level::Warn`.
 #[macro_export]
 macro_rules! obs_warn {
     ($target:expr, $($arg:tt)+) => {
@@ -160,7 +160,7 @@ macro_rules! obs_warn {
     };
 }
 
-/// [`obs_event!`] at `Level::Info`.
+/// [`obs_event!`](crate::obs_event!) at `Level::Info`.
 #[macro_export]
 macro_rules! obs_info {
     ($target:expr, $($arg:tt)+) => {
@@ -168,7 +168,7 @@ macro_rules! obs_info {
     };
 }
 
-/// [`obs_event!`] at `Level::Debug`.
+/// [`obs_event!`](crate::obs_event!) at `Level::Debug`.
 #[macro_export]
 macro_rules! obs_debug {
     ($target:expr, $($arg:tt)+) => {

@@ -193,8 +193,8 @@ impl HistogramSnapshot {
     /// Renders as `{ "count": .., "sum": .., "max": .., "mean": ..,
     /// "p50": .., "p95": .., "p99": .., "buckets": [[lo, n], ..] }`
     /// with only non-empty buckets listed. The quantiles are
-    /// bucket-interpolated estimates (see [`quantile`]
-    /// (HistogramSnapshot::quantile)) so manifest consumers get tail
+    /// bucket-interpolated estimates (see
+    /// [`quantile`](Self::quantile)) so manifest consumers get tail
     /// latencies without eyeballing raw buckets.
     pub fn to_json(&self) -> crate::Value {
         use crate::Value;

@@ -96,9 +96,9 @@ pub fn write_frame<W: Write>(w: &mut W, op: u8, payload: &[u8]) -> io::Result<()
 }
 
 /// Reads one frame, bounding the announced payload length both by
-/// [`MAX_FRAME`] and by a caller-supplied per-opcode cap.
+/// `MAX_FRAME` and by a caller-supplied per-opcode cap.
 ///
-/// The payload buffer grows in [`READ_CHUNK`] steps as bytes actually
+/// The payload buffer grows in `READ_CHUNK` steps as bytes actually
 /// arrive rather than being allocated up front, so a hostile or
 /// desynchronized peer announcing gigabytes it never sends cannot OOM
 /// the process: the allocation tracks delivery, and the inevitable

@@ -31,8 +31,9 @@ static SLEM_SOLVES: Counter = Counter::new("serve.slem_solves");
 /// is pinned.
 const SLEM_SEED: u64 = 0x0050_c1a1;
 
-/// `GET /mix?graph=..&eps=..` — the SLEM µ and the paper's mixing-time
-/// bracket `T(ε) ∈ [lower, upper]` at the requested ε.
+/// `GET /mix?graph=..&eps=..` — the SLEM µ with the upper end `mu_hi`
+/// of its certified interval, and the paper's mixing-time bracket
+/// `T(ε) ∈ [lower, upper]` at the requested ε.
 ///
 /// Renders the full JSON body so the answer cache can serve the exact
 /// same bytes.
@@ -53,6 +54,10 @@ pub fn mix(lg: &LoadedGraph, eps: f64, pool: Pool) -> Result<String, String> {
         ("graph".to_string(), Value::Str(lg.slug.clone())),
         ("n".to_string(), Value::Int(lg.graph.num_nodes() as i64)),
         ("mu".to_string(), Value::Float(est.mu)),
+        (
+            "mu_hi".to_string(),
+            est.mu_hi.map_or(Value::Null, Value::Float),
+        ),
         ("eps".to_string(), Value::Float(eps)),
         ("t_lower".to_string(), Value::Float(lower)),
         ("t_upper".to_string(), Value::Float(upper)),
@@ -363,6 +368,11 @@ mod tests {
         assert!(
             mu > 0.0 && mu < 1.0,
             "connected graph has mu in (0,1), got {mu}"
+        );
+        let mu_hi = doc.get("mu_hi").and_then(Value::as_f64).expect("mu_hi");
+        assert!(
+            mu <= mu_hi && mu_hi - mu < 1e-9,
+            "a converged solve certifies [mu, mu_hi] = [{mu}, {mu_hi}]"
         );
         let lo = doc.get("t_lower").and_then(Value::as_f64).expect("t_lower");
         let hi = doc.get("t_upper").and_then(Value::as_f64).expect("t_upper");

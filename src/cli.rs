@@ -377,6 +377,9 @@ pub fn run<W: Write>(cmd: &Command, out: &mut W) -> Result<(), String> {
             };
             let est = slem.estimate().map_err(|e| e.to_string())?;
             writeln!(out, "mu:        {:.8}", est.mu).map_err(w)?;
+            if let Some(hi) = est.mu_hi {
+                writeln!(out, "mu_hi:     {hi:.8} (mu + {:.1e})", hi - est.mu).map_err(w)?;
+            }
             if let (Some(l2), Some(ln)) = (est.lambda2, est.lambda_n) {
                 writeln!(out, "lambda2:   {l2:.8}").map_err(w)?;
                 writeln!(out, "lambdaN:   {ln:.8}").map_err(w)?;
@@ -676,6 +679,7 @@ mod tests {
         let s = String::from_utf8(buf).unwrap();
         assert!(s.contains("connected:    true"));
         assert!(s.contains("mu:"));
+        assert!(s.contains("mu_hi:"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,6 +4,7 @@
 use socmix::core::{MixingBounds, MixingProbe, Slem};
 use socmix::gen::{fixtures, Dataset};
 use socmix::graph::{components, io, GraphBuilder};
+use socmix::linalg::LanczosOptions;
 use socmix::markov::{ergodicity, stationary_distribution, total_variation};
 
 /// The full paper pipeline on a catalog dataset: generate →
@@ -100,6 +101,36 @@ fn auto_slem_converges_on_dblp_standin() {
         est.iterations, est.mu
     );
     assert!(est.mu > 0.99 && est.mu < 1.0, "µ = {}", est.mu);
+}
+
+/// The certified stop on Physics 2 at paper scale (11,204 nodes, the
+/// benchmark's graph): each extreme Ritz value's Kato–Temple bound
+/// falls below the tolerance within 140 steps, where a test of the
+/// residuals alone took 160–170, and µ is settled to 1e-9 there.
+#[test]
+fn certified_stop_settles_mu_on_physics2_within_140_steps() {
+    let g = Dataset::Physics2.generate(1.0, 7);
+    let reference = Slem::auto(&g)
+        .seed(0)
+        .lanczos_options(LanczosOptions {
+            max_iter: 250,
+            tol: 0.0,
+            ..LanczosOptions::default()
+        })
+        .estimate()
+        .unwrap();
+    assert_eq!(reference.iterations, 250);
+    for seed in 1..=3 {
+        let est = Slem::auto(&g).seed(seed).estimate().unwrap();
+        assert!(
+            est.converged && est.iterations <= 140,
+            "seed {seed}: converged {} after {} steps",
+            est.converged,
+            est.iterations
+        );
+        let gap = (est.mu - reference.mu).abs();
+        assert!(gap <= 1e-9, "seed {seed}: µ {} off by {gap:.3e}", est.mu);
+    }
 }
 
 /// Exact evolution and the stationary distribution close the loop:
