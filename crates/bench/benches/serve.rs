@@ -205,7 +205,6 @@ fn main() {
     let cache_dir = std::env::temp_dir().join(format!("socmix-serve-bench-{}", std::process::id()));
     let base = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        frame_addr: None,
         threads: 4,
         ..ServeConfig::default()
     };

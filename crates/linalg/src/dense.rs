@@ -121,19 +121,21 @@ impl DenseMatrix {
 ///
 /// Returns `(eigenvalues, eigenvectors)` with eigenvalues sorted
 /// **descending** and `eigenvectors[k]` the unit eigenvector for
-/// `eigenvalues[k]`.
+/// `eigenvalues[k]`. Every threshold is relative to the matrix's
+/// largest absolute entry, so scaling the matrix scales the answer.
 ///
 /// # Panics
 ///
-/// Panics if the matrix is not symmetric (beyond 1e-9) or Jacobi
-/// fails to converge in 100 sweeps (does not happen for symmetric
-/// input).
+/// Panics if the matrix is not symmetric (beyond 1e-9 of its largest
+/// entry) or Jacobi fails to converge in 100 sweeps (does not happen
+/// for symmetric input).
 pub fn jacobi_eigen(m: &DenseMatrix) -> (Vec<f64>, Vec<Vec<f64>>) {
     let n = m.dim();
+    let scale = m.data.iter().fold(0.0f64, |s, x| s.max(x.abs()));
     for i in 0..n {
         for j in (i + 1)..n {
             assert!(
-                (m.get(i, j) - m.get(j, i)).abs() < 1e-9,
+                (m.get(i, j) - m.get(j, i)).abs() <= 1e-9 * scale,
                 "jacobi_eigen requires a symmetric matrix"
             );
         }
@@ -144,15 +146,16 @@ pub fn jacobi_eigen(m: &DenseMatrix) -> (Vec<f64>, Vec<Vec<f64>>) {
     for i in 0..n {
         v[i * n + i] = 1.0;
     }
-    let tol = 1e-13;
+    // `<=` throughout, so the zero matrix (scale 0) stops at once
+    let tol = 1e-13 * scale;
     for _sweep in 0..100 {
-        if a.max_offdiag() < tol {
+        if a.max_offdiag() <= tol {
             break;
         }
         for p in 0..n {
             for q in (p + 1)..n {
                 let apq = a.get(p, q);
-                if apq.abs() < tol {
+                if apq.abs() <= tol {
                     continue;
                 }
                 let app = a.get(p, p);
@@ -186,7 +189,7 @@ pub fn jacobi_eigen(m: &DenseMatrix) -> (Vec<f64>, Vec<Vec<f64>>) {
         }
     }
     assert!(
-        a.max_offdiag() < 1e-8,
+        a.max_offdiag() <= 1e-8 * scale,
         "jacobi failed to converge (off-diag {})",
         a.max_offdiag()
     );
@@ -282,6 +285,8 @@ mod tests {
         let trace: f64 = (0..n).map(|i| m.get(i, i)).sum();
         let (vals, _) = jacobi_eigen(&m);
         assert_close(vals.iter().sum::<f64>(), trace, 1e-9);
+        let (vals, _) = jacobi_eigen(&DenseMatrix::zeros(3));
+        assert_eq!(vals, vec![0.0; 3]);
     }
 
     #[test]

@@ -226,26 +226,25 @@ mod tests {
     fn agrees_with_jacobi() {
         let d = vec![0.3, 1.1, -0.7, 0.0, 2.2, -1.5];
         let e = vec![0.5, -0.25, 0.8, 0.1, -0.6];
-        let n = d.len();
-        let mut m = DenseMatrix::zeros(n);
-        for (i, &di) in d.iter().enumerate() {
-            m.set(i, i, di);
-        }
-        for (i, &ei) in e.iter().enumerate() {
-            m.set(i, i + 1, ei);
-            m.set(i + 1, i, ei);
-        }
-        let (jv, _) = jacobi_eigen(&m);
         // also with entries far from 1 in both directions, whose
-        // squares stay inside the f64 range; Jacobi's thresholds are
-        // absolute, so its values of the unscaled matrix are scaled
+        // squares stay inside the f64 range
         for scale in [1.0, 1e-100, 1e100] {
             let scaled = |x: &[f64]| x.iter().map(|v| v * scale).collect::<Vec<_>>();
-            let tv = tridiag_eigenvalues(&scaled(&d), &scaled(&e));
+            let (d, e) = (scaled(&d), scaled(&e));
+            let mut m = DenseMatrix::zeros(d.len());
+            for (i, &di) in d.iter().enumerate() {
+                m.set(i, i, di);
+            }
+            for (i, &ei) in e.iter().enumerate() {
+                m.set(i, i + 1, ei);
+                m.set(i + 1, i, ei);
+            }
+            let (jv, _) = jacobi_eigen(&m);
+            let tv = tridiag_eigenvalues(&d, &e);
             for (a, b) in jv.iter().zip(&tv) {
                 assert!(
-                    (a * scale - b).abs() < 1e-10 * scale,
-                    "{a:e}·{scale:e} vs {b:e}"
+                    (a - b).abs() < 1e-10 * scale,
+                    "{a:e} vs {b:e} at scale {scale:e}"
                 );
             }
         }

@@ -1,13 +1,12 @@
 //! Rule identities, per-rule path scoping, the cross-file reference
-//! configuration (gates, protocols, knob modules), and workspace file
-//! walking.
+//! configuration (gates, knob modules), and workspace file walking.
 //!
 //! Scoping is data, not code: each rule carries a [`Scope`] of include
 //! and exclude patterns matched against the `/`-separated path relative
 //! to the workspace root. [`Config::workspace`] encodes the repo's real
 //! invariant map (which crates are "numeric", which modules are the
 //! sanctioned env-knob readers, which files are the parallel runtime's
-//! hot path, which modules declare the wire protocols); tests
+//! hot path); tests
 //! substitute their own scopes to point the same rules at fixture
 //! files.
 
@@ -37,10 +36,6 @@ pub enum Rule {
     /// `// ORDERING:` comment (same adjacency contract as SL001's
     /// `SAFETY:`).
     UndocumentedAtomicOrdering,
-    /// SL010 — wire-protocol opcode tables must be collision-free
-    /// (within a protocol and across protocols) and every opcode must
-    /// be dispatched and have an explicit payload-cap entry.
-    ProtocolExhaustiveness,
     /// SL011 — every `"SOCMIX_*"` string must resolve to a knob
     /// declared in a knob module, and every declared knob must be
     /// documented in README.md.
@@ -52,7 +47,7 @@ pub enum Rule {
 }
 
 /// All rules, in order.
-pub const RULES: [Rule; 10] = [
+pub const RULES: [Rule; 9] = [
     Rule::UndocumentedUnsafe,
     Rule::BarePrint,
     Rule::StrayEnvRead,
@@ -60,7 +55,6 @@ pub const RULES: [Rule; 10] = [
     Rule::PanickingApiInHotPath,
     Rule::NanUnwrapCompare,
     Rule::UndocumentedAtomicOrdering,
-    Rule::ProtocolExhaustiveness,
     Rule::KnobRegistryDrift,
     Rule::MetricNameDrift,
 ];
@@ -76,7 +70,6 @@ impl Rule {
             Rule::PanickingApiInHotPath => "SL005",
             Rule::NanUnwrapCompare => "SL008",
             Rule::UndocumentedAtomicOrdering => "SL009",
-            Rule::ProtocolExhaustiveness => "SL010",
             Rule::KnobRegistryDrift => "SL011",
             Rule::MetricNameDrift => "SL012",
         }
@@ -92,7 +85,6 @@ impl Rule {
             Rule::PanickingApiInHotPath => "panicking-api-in-hot-path",
             Rule::NanUnwrapCompare => "nan-unwrap-compare",
             Rule::UndocumentedAtomicOrdering => "undocumented-atomic-ordering",
-            Rule::ProtocolExhaustiveness => "protocol-exhaustiveness",
             Rule::KnobRegistryDrift => "knob-registry-drift",
             Rule::MetricNameDrift => "metric-name-drift",
         }
@@ -149,24 +141,6 @@ impl Scope {
     }
 }
 
-/// One wire protocol for SL010: where its opcode table is declared,
-/// where frames are dispatched, and (optionally) which function is the
-/// per-opcode payload-cap table.
-#[derive(Debug, Clone)]
-pub struct ProtocolSpec {
-    /// Display name used in diagnostics.
-    pub name: String,
-    /// Substring matching the declaration file (the `OP_*`/`REPLY_*`
-    /// consts live here).
-    pub decl: String,
-    /// Substrings matching the dispatch file(s): every `OP_*` const
-    /// needs a match-arm mention in one of them (outside the cap fn).
-    pub dispatch: Vec<String>,
-    /// `(file substring, fn name)` of the payload-cap table: every
-    /// `OP_*` const needs an explicit match arm inside that function.
-    pub cap_fn: Option<(String, String)>,
-}
-
 /// Per-rule scoping plus the cross-file reference configuration for
 /// one lint run.
 #[derive(Debug, Clone)]
@@ -178,15 +152,12 @@ pub struct Config {
     pub panicking_api_in_hot_path: Scope,
     pub nan_unwrap_compare: Scope,
     pub atomic_ordering: Scope,
-    pub protocol_exhaustiveness: Scope,
     pub knob_registry: Scope,
     pub metric_drift: Scope,
     /// Atomic gates/flags whose `Relaxed` accesses SL009 also holds to
     /// the `// ORDERING:` contract (matched against identifiers in the
     /// enclosing statement).
     pub ordering_gates: Vec<String>,
-    /// The wire protocols SL010 checks.
-    pub protocols: Vec<ProtocolSpec>,
     /// Substrings matching the files allowed to *declare* `SOCMIX_*`
     /// knobs (SL011). Empty disables the rule.
     pub knob_modules: Vec<String>,
@@ -207,17 +178,16 @@ impl Config {
             Rule::PanickingApiInHotPath => &self.panicking_api_in_hot_path,
             Rule::NanUnwrapCompare => &self.nan_unwrap_compare,
             Rule::UndocumentedAtomicOrdering => &self.atomic_ordering,
-            Rule::ProtocolExhaustiveness => &self.protocol_exhaustiveness,
             Rule::KnobRegistryDrift => &self.knob_registry,
             Rule::MetricNameDrift => &self.metric_drift,
         }
     }
 
     /// Every rule everywhere — the fixture-test configuration. The
-    /// cross-file reference sets (gates, protocols, knob modules)
-    /// start empty, so SL009 fires only its non-`Relaxed` half and
-    /// SL010/SL011 are inert until a test configures them; SL012 is
-    /// inert in any fixture that registers no metric.
+    /// cross-file reference sets (gates, knob modules) start empty, so
+    /// SL009 fires only its non-`Relaxed` half and SL011 is inert until
+    /// a test configures it; SL012 is inert in any fixture that
+    /// registers no metric.
     pub fn all_everywhere() -> Config {
         Config {
             undocumented_unsafe: Scope::everywhere(),
@@ -227,11 +197,9 @@ impl Config {
             panicking_api_in_hot_path: Scope::everywhere(),
             nan_unwrap_compare: Scope::everywhere(),
             atomic_ordering: Scope::everywhere(),
-            protocol_exhaustiveness: Scope::everywhere(),
             knob_registry: Scope::everywhere(),
             metric_drift: Scope::everywhere(),
             ordering_gates: vec![],
-            protocols: vec![],
             knob_modules: vec![],
         }
     }
@@ -294,7 +262,6 @@ impl Config {
                     "crates/obs/src/export.rs",
                     "crates/serve/src/server.rs",
                     "crates/serve/src/http.rs",
-                    "crates/serve/src/frames.rs",
                     "crates/serve/src/batch.rs",
                     "crates/serve/src/cache.rs",
                     "crates/serve/src/queries.rs",
@@ -319,7 +286,6 @@ impl Config {
             // pool, the obs gate, the serve stop flag all synchronize
             // through atomics.
             atomic_ordering: Scope::everywhere(),
-            protocol_exhaustiveness: Scope::everywhere(),
             knob_registry: Scope::everywhere(),
             metric_drift: Scope::everywhere(),
             // The obs enablement gate is read with Relaxed on every
@@ -327,15 +293,6 @@ impl Config {
             // workspace, and exactly the place where "relaxed is fine"
             // deserves a written argument.
             ordering_gates: strings(&["GATE"]),
-            protocols: vec![ProtocolSpec {
-                name: "serve".to_string(),
-                decl: "crates/serve/src/frames.rs".to_string(),
-                dispatch: strings(&["crates/serve/src/frames.rs"]),
-                cap_fn: Some((
-                    "crates/serve/src/frames.rs".to_string(),
-                    "query_cap".to_string(),
-                )),
-            }],
             // The declarers: the knob modules. `bench/manifest.rs`
             // mirrors knob names into run manifests but deliberately
             // does NOT declare — a typo there must fail to resolve.
@@ -450,18 +407,9 @@ mod tests {
         // SL006/SL007 belong to pragma hygiene, hence the gap
         assert_eq!(Rule::NanUnwrapCompare.code(), "SL008");
         assert_eq!(Rule::UndocumentedAtomicOrdering.code(), "SL009");
-        assert_eq!(Rule::ProtocolExhaustiveness.code(), "SL010");
+        // SL010 (protocol exhaustiveness) is retired with the frame
+        // protocol it checked and is not reused, hence the second gap
         assert_eq!(Rule::KnobRegistryDrift.code(), "SL011");
         assert_eq!(Rule::MetricNameDrift.code(), "SL012");
-    }
-
-    #[test]
-    fn workspace_config_names_the_serve_protocol() {
-        let cfg = Config::workspace();
-        let names: Vec<_> = cfg.protocols.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, vec!["serve"]);
-        for p in &cfg.protocols {
-            assert!(p.cap_fn.is_some(), "{} protocol has no cap table", p.name);
-        }
     }
 }

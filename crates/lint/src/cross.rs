@@ -1,18 +1,16 @@
 //! Pass 2's workspace layer: the [`Workspace`] aggregate and the
-//! cross-file rules (SL010–SL012).
+//! cross-file rules (SL011–SL012).
 //!
-//! These rules check contracts no single file can witness: a wire
-//! protocol's opcode table lives in one module and its dispatch
-//! `match` in another (SL010), a `SOCMIX_*` knob is declared in a knob
-//! module, echoed by consumers elsewhere, and documented in README.md
-//! (SL011), and a metric name registered in one crate is asserted or
-//! documented in others (SL012). Each rule therefore runs over the
-//! whole [`Workspace`] — every file's [`FileIndex`] plus the README
-//! text — after the per-file rules have run.
+//! These rules check contracts no single file can witness: a
+//! `SOCMIX_*` knob is declared in a knob module, echoed by consumers
+//! elsewhere, and documented in README.md (SL011), and a metric name
+//! registered in one crate is asserted or documented in others
+//! (SL012). Each rule therefore runs over the whole [`Workspace`] —
+//! every file's [`FileIndex`] plus the README text — after the
+//! per-file rules have run.
 //!
 //! A cross-file rule only fires when its **reference set** is actually
-//! loaded: SL010 skips a protocol whose declaration file is not in the
-//! workspace, SL011 is inert until a configured knob module is present,
+//! loaded: SL011 is inert until a configured knob module is present,
 //! and SL012 until at least one metric registration is. This keeps
 //! single-file invocations (`socmix-lint check path.rs`, the fixture
 //! tests, editor integrations) from reporting half the workspace as
@@ -22,8 +20,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::config::{Config, ProtocolSpec, Rule};
-use crate::index::{ConstItem, FileIndex};
+use crate::config::{Config, Rule};
+use crate::index::FileIndex;
 use crate::rules::{apply_pragmas, run_per_file_rules, Analysis, Diagnostic};
 
 /// One analyzed source file: the token-level `Analysis` (pass 1a)
@@ -94,7 +92,6 @@ pub fn lint_workspace(ws: &Workspace, cfg: &Config) -> Vec<Diagnostic> {
     for f in &ws.files {
         run_per_file_rules(&f.rel, &f.analysis, &f.index, cfg, &mut diags);
     }
-    rule_protocol_exhaustiveness(ws, cfg, &mut diags);
     rule_knob_registry(ws, cfg, &mut diags);
     rule_metric_drift(ws, cfg, &mut diags);
     for f in &ws.files {
@@ -120,178 +117,6 @@ fn push(out: &mut Vec<Diagnostic>, rule: Rule, path: &str, line: u32, col: u32, 
         col,
         message,
     });
-}
-
-/// One protocol's resolved opcode table.
-struct Table<'a> {
-    spec: &'a ProtocolSpec,
-    decl_rel: &'a str,
-    consts: Vec<&'a ConstItem>,
-}
-
-/// Whether a const belongs to a protocol table: `OP_*`/`REPLY_*` and
-/// typed `u8` (the frame header's opcode byte).
-fn is_protocol_const(c: &ConstItem) -> bool {
-    !c.in_test && c.type_text == "u8" && (c.name.starts_with("OP_") || c.name.starts_with("REPLY_"))
-}
-
-// ---------------------------------------------------------------- SL010
-
-fn rule_protocol_exhaustiveness(ws: &Workspace, cfg: &Config, out: &mut Vec<Diagnostic>) {
-    let rule = Rule::ProtocolExhaustiveness;
-    let scope = cfg.scope(rule);
-    let mut tables: Vec<Table> = Vec::new();
-    for spec in &cfg.protocols {
-        let Some(file) = ws.files.iter().find(|f| f.rel.contains(&spec.decl)) else {
-            continue; // reference set not loaded
-        };
-        if !scope.matches(&file.rel) {
-            continue;
-        }
-        tables.push(Table {
-            spec,
-            decl_rel: &file.rel,
-            consts: file
-                .index
-                .consts
-                .iter()
-                .filter(|c| is_protocol_const(c))
-                .collect(),
-        });
-    }
-
-    for t in &tables {
-        // every table entry must be a checkable literal, and values
-        // must be unique within the protocol (ops and replies share
-        // the frame header's one opcode byte, so they share the space)
-        let mut seen: Vec<(u64, &str)> = Vec::new();
-        for c in &t.consts {
-            let Some(v) = c.value else {
-                push(
-                    out,
-                    rule,
-                    t.decl_rel,
-                    c.line,
-                    c.col,
-                    format!(
-                        "protocol `{}` opcode `{}` is not a single integer literal — \
-                         the table cannot be checked for collisions",
-                        t.spec.name, c.name
-                    ),
-                );
-                continue;
-            };
-            if let Some((_, prev)) = seen.iter().find(|(pv, _)| *pv == v) {
-                push(
-                    out,
-                    rule,
-                    t.decl_rel,
-                    c.line,
-                    c.col,
-                    format!(
-                        "duplicate opcode value {v:#04x} in protocol `{}`: `{}` collides \
-                         with `{prev}`",
-                        t.spec.name, c.name
-                    ),
-                );
-            } else {
-                seen.push((v, &c.name));
-            }
-        }
-
-        // dispatch and payload-cap coverage for the request opcodes
-        let in_cap_fn = |file_rel: &str, in_fn: Option<&str>| -> bool {
-            t.spec
-                .cap_fn
-                .as_ref()
-                .is_some_and(|(cf, cfn)| file_rel.contains(cf.as_str()) && in_fn == Some(cfn))
-        };
-        let mut dispatched: BTreeSet<&str> = BTreeSet::new();
-        let mut capped: BTreeSet<&str> = BTreeSet::new();
-        for f in &ws.files {
-            let is_dispatch = t.spec.dispatch.iter().any(|d| f.rel.contains(d.as_str()));
-            let is_cap_file = t
-                .spec
-                .cap_fn
-                .as_ref()
-                .is_some_and(|(cf, _)| f.rel.contains(cf.as_str()));
-            if !is_dispatch && !is_cap_file {
-                continue;
-            }
-            for p in &f.index.match_pats {
-                if p.in_test {
-                    continue;
-                }
-                if in_cap_fn(&f.rel, p.in_fn.as_deref()) {
-                    capped.insert(p.ident.as_str());
-                } else if is_dispatch {
-                    dispatched.insert(p.ident.as_str());
-                }
-            }
-        }
-        for c in &t.consts {
-            if !c.name.starts_with("OP_") {
-                continue;
-            }
-            if !t.spec.dispatch.is_empty() && !dispatched.contains(c.name.as_str()) {
-                push(
-                    out,
-                    rule,
-                    t.decl_rel,
-                    c.line,
-                    c.col,
-                    format!(
-                        "opcode `{}` has no match arm in protocol `{}`'s dispatch ({})",
-                        c.name,
-                        t.spec.name,
-                        t.spec.dispatch.join(", ")
-                    ),
-                );
-            }
-            if let Some((cap_file, cap_fn)) = &t.spec.cap_fn {
-                if !capped.contains(c.name.as_str()) {
-                    push(
-                        out,
-                        rule,
-                        t.decl_rel,
-                        c.line,
-                        c.col,
-                        format!(
-                            "opcode `{}` has no explicit entry in protocol `{}`'s \
-                             payload-cap table (`{cap_fn}` in {cap_file})",
-                            c.name, t.spec.name
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // the protocols must not collide with each other: a frame sent to
-    // the wrong listener has to die as an unknown opcode, which only
-    // works while the value spaces stay disjoint
-    for i in 0..tables.len() {
-        for j in i + 1..tables.len() {
-            let (a, b) = (&tables[i], &tables[j]);
-            for cb in &b.consts {
-                let Some(v) = cb.value else { continue };
-                if let Some(ca) = a.consts.iter().find(|c| c.value == Some(v)) {
-                    push(
-                        out,
-                        Rule::ProtocolExhaustiveness,
-                        b.decl_rel,
-                        cb.line,
-                        cb.col,
-                        format!(
-                            "opcode value {v:#04x} collides across protocols: `{}` in \
-                             `{}` vs `{}` in `{}` ({})",
-                            cb.name, b.spec.name, ca.name, a.spec.name, a.decl_rel
-                        ),
-                    );
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------- SL011

@@ -19,7 +19,7 @@
 //!
 //! Diagnostics carry stable `SLxxx` codes: SL001–SL005 and SL008 are
 //! the original per-file rules, SL009 is the per-file half of the
-//! cross-file family (the workspace-level rules SL010–SL012 live in
+//! cross-file family (the workspace-level rules SL011–SL012 live in
 //! [`crate::cross`]); SL006 (malformed pragma) and SL007 (unused
 //! pragma) are pragma hygiene and can never be suppressed by a pragma.
 
@@ -512,7 +512,7 @@ fn clean_excerpt(parts: &[&str], marker: &str) -> String {
 }
 
 /// Runs every per-file rule in scope for `rel` over one analyzed file,
-/// appending findings to `out`. The cross-file rules (SL010–SL012) are
+/// appending findings to `out`. The cross-file rules (SL011–SL012) are
 /// not run here — they need the whole workspace and live in
 /// [`crate::cross::lint_workspace`]. Pragmas are *not* applied here
 /// either, so cross-file diagnostics landing in this file get the same
@@ -539,7 +539,7 @@ pub(crate) fn run_per_file_rules(
                 rule_atomic_ordering(rule, rel, a, ix, &cfg.ordering_gates, out)
             }
             // workspace-level rules, handled by lint_workspace
-            Rule::ProtocolExhaustiveness | Rule::KnobRegistryDrift | Rule::MetricNameDrift => {}
+            Rule::KnobRegistryDrift | Rule::MetricNameDrift => {}
         }
     }
 }

@@ -1,10 +1,10 @@
-//! SL009–SL012 over the fixture corpus: per-file ordering fixtures,
-//! and the cross-file rules run over multi-file in-memory workspaces
-//! (a protocol declared in one fixture and dispatched in another, a
-//! knob registry consumed from a second file, metric registrations
-//! measured against spellings elsewhere and in a README).
+//! SL009, SL011 and SL012 over the fixture corpus: per-file ordering
+//! fixtures, and the cross-file rules run over multi-file in-memory
+//! workspaces (a knob registry consumed from a second file, metric
+//! registrations measured against spellings elsewhere and in a
+//! README).
 
-use socmix_lint::{lint_source, lint_workspace, Config, ProtocolSpec, Workspace};
+use socmix_lint::{lint_source, lint_workspace, Config, Workspace};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -73,103 +73,6 @@ fn relaxed_on_configured_gate_requires_doc() {
                  static COUNT: AtomicU8 = AtomicU8::new(0);\n\
                  pub fn peek() -> u8 {\n    COUNT.load(Ordering::Relaxed)\n}\n";
     assert!(lint_source("other.rs", other, &cfg).is_empty());
-}
-
-// ------------------------------------------------------------- SL010
-
-fn proto_cfg(decl: &str, dispatch: &[&str], cap: Option<(&str, &str)>) -> Config {
-    let mut cfg = Config::all_everywhere();
-    cfg.protocols = vec![ProtocolSpec {
-        name: "test".to_string(),
-        decl: decl.to_string(),
-        dispatch: dispatch.iter().map(|s| s.to_string()).collect(),
-        cap_fn: cap.map(|(f, n)| (f.to_string(), n.to_string())),
-    }];
-    cfg
-}
-
-#[test]
-fn protocol_defects_fire_across_files() {
-    let ws = build_ws(&["proto_frames_fire.rs", "proto_worker_fire.rs"], None);
-    let cfg = proto_cfg(
-        "proto_frames_fire.rs",
-        &["proto_worker_fire.rs"],
-        Some(("proto_worker_fire.rs", "cap")),
-    );
-    let diags = lint_workspace(&ws, &cfg);
-    assert_eq!(codes(&diags), vec!["SL010"; 5], "{diags:?}");
-    // all findings land on the declaration file
-    assert!(diags.iter().all(|d| d.path == "proto_frames_fire.rs"));
-    let has = |needle: &str| diags.iter().any(|d| d.message.contains(needle));
-    assert!(has("duplicate opcode value 0x01"), "{diags:?}");
-    assert!(has("not a single integer literal"), "{diags:?}");
-    assert!(has("`OP_ORPHAN` has no match arm"), "{diags:?}");
-    assert!(
-        diags
-            .iter()
-            .filter(|d| d.message.contains("payload-cap table"))
-            .count()
-            == 2, // OP_ORPHAN and OP_UNCAPPED
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn complete_protocol_pair_is_clean() {
-    let ws = build_ws(&["proto_frames_clean.rs", "proto_worker_clean.rs"], None);
-    let cfg = proto_cfg(
-        "proto_frames_clean.rs",
-        &["proto_worker_clean.rs"],
-        Some(("proto_worker_clean.rs", "cap")),
-    );
-    let diags = lint_workspace(&ws, &cfg);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn cross_protocol_value_collision_fires_at_later_protocol() {
-    let ws = build_ws(
-        &[
-            "proto_frames_clean.rs",
-            "proto_worker_clean.rs",
-            "proto_serve_fire.rs",
-        ],
-        None,
-    );
-    let mut cfg = proto_cfg(
-        "proto_frames_clean.rs",
-        &["proto_worker_clean.rs"],
-        Some(("proto_worker_clean.rs", "cap")),
-    );
-    cfg.protocols.push(ProtocolSpec {
-        name: "serve".to_string(),
-        decl: "proto_serve_fire.rs".to_string(),
-        dispatch: vec![],
-        cap_fn: None,
-    });
-    let diags = lint_workspace(&ws, &cfg);
-    assert_eq!(codes(&diags), vec!["SL010"], "{diags:?}");
-    assert_eq!(diags[0].path, "proto_serve_fire.rs");
-    assert!(
-        diags[0].message.contains("collides across protocols")
-            && diags[0].message.contains("OP_Q_PING")
-            && diags[0].message.contains("OP_PING"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn protocol_checks_are_inert_without_the_decl_file() {
-    // only the dispatch half is loaded: the reference set is
-    // incomplete, so nothing may fire
-    let ws = build_ws(&["proto_worker_fire.rs"], None);
-    let cfg = proto_cfg(
-        "proto_frames_fire.rs",
-        &["proto_worker_fire.rs"],
-        Some(("proto_worker_fire.rs", "cap")),
-    );
-    assert!(lint_workspace(&ws, &cfg).is_empty());
 }
 
 // ------------------------------------------------------------- SL011
@@ -276,7 +179,7 @@ fn metric_rule_is_inert_without_registrations() {
 fn cross_file_fixtures_are_quiet_in_single_file_runs() {
     // the reference-set gating keeps `socmix-lint check one-file.rs`
     // (and editor integrations) from reporting phantom drift
-    for name in ["proto_frames_fire.rs", "knob_use_fire.rs", "metric_fire.rs"] {
+    for name in ["knob_use_fire.rs", "metric_fire.rs"] {
         let diags = lint_source(name, &fixture(name), &Config::all_everywhere());
         assert!(diags.is_empty(), "{name}: {diags:?}");
     }

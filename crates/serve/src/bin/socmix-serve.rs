@@ -1,14 +1,13 @@
 //! `socmix-serve` — mixing-time-as-a-service.
 //!
 //! ```text
-//! socmix-serve [--addr A] [--frame-addr A] [--cache-dir D]
-//!              [--preload GRAPH:SCALE:SEED]... [--threads N] [--queue N]
-//!              [--deadline-ms N] [--batch-max N]
+//! socmix-serve [--addr A] [--cache-dir D] [--preload GRAPH:SCALE:SEED]...
+//!              [--threads N] [--queue N] [--deadline-ms N] [--batch-max N]
 //! ```
 //!
 //! Every flag has a `SOCMIX_SERVE_*` environment twin (flags win);
 //! see `socmix_serve::knobs`. `--preload` loads catalog graphs before
-//! the listeners open so the first query never pays a generation.
+//! the listener opens so the first query never pays a generation.
 //! Metrics are always on (the server *is* the ops surface:
 //! `GET /metrics`); tracing follows `SOCMIX_TRACE` as everywhere else
 //! in the workspace.
@@ -17,9 +16,8 @@ use socmix_serve::{ServeConfig, Server};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: socmix-serve [--addr A] [--frame-addr A] [--cache-dir D]\n\
-         \x20                   [--preload GRAPH:SCALE:SEED]... [--threads N] [--queue N]\n\
-         \x20                   [--deadline-ms N] [--batch-max N]"
+        "usage: socmix-serve [--addr A] [--cache-dir D] [--preload GRAPH:SCALE:SEED]...\n\
+         \x20                   [--threads N] [--queue N] [--deadline-ms N] [--batch-max N]"
     );
     std::process::exit(2);
 }
@@ -40,7 +38,6 @@ fn main() {
         };
         match arg.as_str() {
             "--addr" => cfg.addr = value("--addr"),
-            "--frame-addr" => cfg.frame_addr = Some(value("--frame-addr")),
             "--cache-dir" => cache_dir = value("--cache-dir").into(),
             "--preload" => preload.push(value("--preload")),
             "--threads" => cfg.threads = parse_num(&value("--threads"), "--threads", 1),
@@ -95,9 +92,6 @@ fn main() {
     }
 
     println!("socmix-serve listening on http://{}", server.local_addr());
-    if let Some(fa) = server.frame_addr() {
-        println!("frame protocol listening on {fa}");
-    }
     println!(
         "{} workers, queue {}, deadline {}ms, batch max {}",
         cfg.threads,

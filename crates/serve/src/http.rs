@@ -9,7 +9,9 @@
 //!
 //! Bounds: the head (request line + headers) is capped at 16 KiB and
 //! the body at 1 MiB; either overflow is a parse error so a client
-//! cannot make the server allocate unboundedly.
+//! cannot make the server allocate unboundedly. The body buffer grows
+//! as bytes arrive, so a head that announces more body than it sends
+//! costs at most one 64 KiB chunk.
 
 use std::io::{self, Read, Write};
 
@@ -17,6 +19,9 @@ use std::io::{self, Read, Write};
 const MAX_HEAD: usize = 16 << 10;
 /// Body size cap (`Content-Length` beyond this is rejected).
 pub const MAX_BODY: usize = 1 << 20;
+/// The body buffer's first allocation; it grows past this only as
+/// body bytes arrive.
+const BODY_CHUNK: usize = 64 << 10;
 
 /// One parsed request.
 #[derive(Debug, Clone)]
@@ -102,8 +107,11 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Request, ParseError> {
         )));
     }
 
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(content_length.min(BODY_CHUNK));
+    r.take(content_length as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(ParseError::Io(io::ErrorKind::UnexpectedEof.into()));
+    }
 
     let (raw_path, raw_query) = match target.split_once('?') {
         Some((p, q)) => (p, q),
@@ -260,6 +268,39 @@ mod tests {
             Err(ParseError::Bad(_))
         ));
         assert!(matches!(parse(b""), Err(ParseError::ConnectionClosed)));
+    }
+
+    /// Reads `data`, recording the largest buffer a read is offered.
+    struct Recording<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn forged_content_length_allocates_only_as_bytes_arrive() {
+        let mut raw =
+            format!("POST /admit HTTP/1.1\r\nContent-Length: {MAX_BODY}\r\n\r\n").into_bytes();
+        raw.extend_from_slice(&[b'x'; 64]);
+        let mut r = Recording {
+            data: &raw,
+            largest: 0,
+        };
+        match read_request(&mut r) {
+            Err(ParseError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("short body must be a typed EOF, got {other:?}"),
+        }
+        assert!(
+            r.largest <= BODY_CHUNK,
+            "offered {} bytes for a 64-byte body",
+            r.largest
+        );
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! | Variable                      | Meaning                                    | Default          |
 //! |-------------------------------|--------------------------------------------|------------------|
 //! | `SOCMIX_SERVE_ADDR`           | HTTP listener address                      | `127.0.0.1:7470` |
-//! | `SOCMIX_SERVE_FRAME_ADDR`     | Frame-protocol listener address (empty=off)| off              |
 //! | `SOCMIX_SERVE_THREADS`        | Connection-serving worker threads          | cores, min 4     |
 //! | `SOCMIX_SERVE_QUEUE`          | Bounded accept-queue capacity              | `64`             |
 //! | `SOCMIX_SERVE_DEADLINE_MS`    | Per-request deadline before shedding       | `2000`           |
@@ -19,15 +18,12 @@
 
 use std::time::Duration;
 
-/// Resolved serving configuration. Plain data: the listeners and
+/// Resolved serving configuration. Plain data: the listener and
 /// worker pool read it, nothing here touches the network.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// HTTP listener bind address.
     pub addr: String,
-    /// Frame-protocol listener bind address; `None` disables the
-    /// second listener.
-    pub frame_addr: Option<String>,
     /// Connection-serving worker threads (each serves one connection
     /// at a time; the accept queue bounds what waits behind them).
     pub threads: usize,
@@ -51,7 +47,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:7470".to_string(),
-            frame_addr: None,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4)
@@ -72,11 +67,6 @@ impl ServeConfig {
         if let Ok(v) = std::env::var("SOCMIX_SERVE_ADDR") {
             if !v.trim().is_empty() {
                 cfg.addr = v.trim().to_string();
-            }
-        }
-        if let Ok(v) = std::env::var("SOCMIX_SERVE_FRAME_ADDR") {
-            if !v.trim().is_empty() {
-                cfg.frame_addr = Some(v.trim().to_string());
             }
         }
         cfg.threads = parsed_or(
@@ -153,6 +143,5 @@ mod tests {
         assert!(cfg.threads >= 4);
         assert!(cfg.queue >= 1);
         assert!(cfg.batch_max >= 1);
-        assert!(cfg.frame_addr.is_none());
     }
 }

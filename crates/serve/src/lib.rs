@@ -20,9 +20,8 @@
 //!   surface: the [`socmix_obs`] snapshot and Chrome-trace export over
 //!   HTTP.
 //!
-//! Two listeners speak the same endpoints: a minimal HTTP/1.1 subset
-//! ([`http`]) and the workspace's length-prefixed frame protocol
-//! ([`frames`]); answer bodies are byte-identical across them.
+//! The endpoints speak a minimal HTTP/1.1 subset ([`http`]), the one
+//! parser of untrusted network bytes in the crate.
 //!
 //! # Throughput and overload
 //!
@@ -43,7 +42,6 @@
 pub mod batch;
 pub mod cache;
 pub mod catalog;
-pub mod frames;
 pub mod http;
 pub mod knobs;
 pub mod queries;

@@ -1,10 +1,9 @@
-//! The server proper: listeners, the bounded accept queue, worker
-//! threads, and the endpoint dispatch shared by the HTTP and frame
-//! listeners.
+//! The server proper: the HTTP listener, the bounded accept queue,
+//! worker threads, and the endpoint dispatch.
 //!
-//! Concurrency model: one accept thread per listener pushes accepted
-//! connections into a bounded queue; `threads` workers pop and serve
-//! one connection at a time (keep-alive included). Overload is
+//! Concurrency model: one accept thread pushes accepted connections
+//! into a bounded queue; `threads` workers pop and serve one
+//! connection at a time (keep-alive included). Overload is
 //! explicit, never implicit: a connection arriving on a full queue is
 //! answered with a typed 503 *at accept* and closed (`serve.shed`),
 //! and a request that ages past the per-request deadline — in the
@@ -39,7 +38,6 @@ use crate::queries;
 static REQUESTS: Counter = Counter::new("serve.requests");
 static SHED: Counter = Counter::new("serve.shed");
 static HTTP_CONNS: Counter = Counter::new("serve.http_conns");
-static FRAME_CONNS: Counter = Counter::new("serve.frame_conns");
 static REQUEST_NS: Histogram = Histogram::new("serve.request_ns");
 
 /// Query class discriminants folded into answer-cache, table and batch
@@ -51,10 +49,10 @@ const CLASS_ESCAPE: u64 = 2;
 /// The typed overload body every shed path serves.
 pub const SHED_BODY: &str = "{\"error\":\"overloaded\",\"shed\":true}";
 
-/// How long an idle keep-alive connection (HTTP or frame) may sit
-/// between requests before the worker reclaims itself. Also the upper
-/// bound [`Server::shutdown`] waits for an in-flight idle connection.
-pub(crate) const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long an idle keep-alive connection may sit between requests
+/// before the worker reclaims itself. Also the upper bound
+/// [`Server::shutdown`] waits for an in-flight idle connection.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How long [`close_shed`] waits, in all, for the request of a
 /// connection it closes: the longest a shed connection can hold the
@@ -63,7 +61,7 @@ const SHED_LINGER: Duration = Duration::from_millis(250);
 
 /// One rendered endpoint answer.
 pub struct ApiResponse {
-    /// HTTP status code (the frame listener maps it to a reply op).
+    /// HTTP status code.
     pub status: u16,
     /// JSON body.
     pub body: String,
@@ -91,12 +89,6 @@ impl ApiResponse {
     }
 }
 
-/// Counts a frame-listener connection (called by `frames.rs`, which
-/// owns the rest of that listener's telemetry).
-pub(crate) fn frame_conn_opened() {
-    FRAME_CONNS.incr();
-}
-
 /// Standard reason phrase for the statuses this server emits.
 pub fn reason(status: u16) -> &'static str {
     match status {
@@ -119,9 +111,8 @@ pub(crate) struct Shared {
     pub pool: Pool,
 }
 
-/// Merged view over query params and an optional JSON body, so the
-/// HTTP listener (query string), curl POSTs (JSON body), and the
-/// frame listener (JSON payload) all feed one extraction path.
+/// Merged view over query params and an optional JSON body, so a
+/// query string and a JSON request body feed one extraction path.
 struct Params<'a> {
     query: &'a [(String, String)],
     body: Option<Value>,
@@ -217,8 +208,8 @@ fn resident(shared: &Shared, p: &Params<'_>) -> Result<Arc<LoadedGraph>, ApiResp
     })
 }
 
-/// Routes one request. Both listeners call this; the HTTP layer wraps
-/// the result in a status line, the frame layer in a reply opcode.
+/// Routes one request; the HTTP layer wraps the result in a status
+/// line.
 pub(crate) fn dispatch(
     shared: &Shared,
     method: &str,
@@ -389,16 +380,8 @@ fn escape_entries(
     queries::entries(&table, nodes)
 }
 
-/// Which listener a queued connection came from.
-#[derive(Clone, Copy, PartialEq)]
-enum ConnKind {
-    Http,
-    Frame,
-}
-
 struct Conn {
     stream: TcpStream,
-    kind: ConnKind,
     arrived: Instant,
 }
 
@@ -460,13 +443,12 @@ impl ConnQueue {
 /// explicitly.
 pub struct Server {
     addr: SocketAddr,
-    frame_addr: Option<SocketAddr>,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds both listeners, spawns the accept and worker threads, and
+    /// Binds the listener, spawns the accept and worker threads, and
     /// returns. `cache_dir` backs the graph catalog.
     ///
     /// Turns the process-wide metrics gate on: a server without its
@@ -479,14 +461,6 @@ impl Server {
         socmix_obs::set_metrics_enabled(true);
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let frame_listener = match &cfg.frame_addr {
-            Some(a) => Some(TcpListener::bind(a)?),
-            None => None,
-        };
-        let frame_addr = match &frame_listener {
-            Some(l) => Some(l.local_addr()?),
-            None => None,
-        };
 
         let shared = Arc::new(Shared {
             catalog: Catalog::at(cache_dir),
@@ -499,21 +473,11 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let queue = Arc::new(ConnQueue::new(shared.cfg.queue));
 
-        let mut threads = Vec::new();
-        threads.push(spawn_acceptor(
+        let mut threads = vec![spawn_acceptor(
             listener,
-            ConnKind::Http,
             Arc::clone(&queue),
             Arc::clone(&stop),
-        )?);
-        if let Some(l) = frame_listener {
-            threads.push(spawn_acceptor(
-                l,
-                ConnKind::Frame,
-                Arc::clone(&queue),
-                Arc::clone(&stop),
-            )?);
-        }
+        )?];
         for i in 0..shared.cfg.threads {
             let shared = Arc::clone(&shared);
             let queue = Arc::clone(&queue);
@@ -528,7 +492,6 @@ impl Server {
 
         Ok(Server {
             addr,
-            frame_addr,
             stop,
             threads,
         })
@@ -539,22 +502,14 @@ impl Server {
         self.addr
     }
 
-    /// The frame listener's bound address, when enabled.
-    pub fn frame_addr(&self) -> Option<SocketAddr> {
-        self.frame_addr
-    }
-
     /// Stops accepting, drains the workers, and joins every thread.
     pub fn shutdown(mut self) {
         // ORDERING: Release pairs with the Acquire loads on the accept
         // and worker threads — everything this thread did before the
         // stop is visible to a thread that exits because of it.
         self.stop.store(true, Ordering::Release);
-        // Unblock the accept calls with a throwaway connection each.
+        // Unblock the accept call with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(fa) = self.frame_addr {
-            let _ = TcpStream::connect(fa);
-        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -563,16 +518,11 @@ impl Server {
 
 fn spawn_acceptor(
     listener: TcpListener,
-    kind: ConnKind,
     queue: Arc<ConnQueue>,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<JoinHandle<()>> {
-    let name = match kind {
-        ConnKind::Http => "serve-accept-http",
-        ConnKind::Frame => "serve-accept-frame",
-    };
     std::thread::Builder::new()
-        .name(name.to_string())
+        .name("serve-accept-http".to_string())
         .spawn(move || loop {
             let (stream, _) = match listener.accept() {
                 Ok(pair) => pair,
@@ -592,7 +542,6 @@ fn spawn_acceptor(
             }
             let conn = Conn {
                 stream,
-                kind,
                 arrived: Instant::now(),
             };
             if let Err(mut rejected) = queue.push(conn) {
@@ -600,22 +549,15 @@ fn spawn_acceptor(
                 // thread — a typed reply, not a silent drop or an
                 // unbounded backlog.
                 SHED.incr();
-                match kind {
-                    ConnKind::Http => {
-                        let _ = http::write_response(
-                            &mut rejected.stream,
-                            503,
-                            reason(503),
-                            "application/json",
-                            SHED_BODY,
-                            false,
-                        );
-                    }
-                    ConnKind::Frame => {
-                        crate::frames::write_shed(&mut rejected.stream);
-                    }
-                }
-                close_shed(rejected.stream, kind);
+                let _ = http::write_response(
+                    &mut rejected.stream,
+                    503,
+                    reason(503),
+                    "application/json",
+                    SHED_BODY,
+                    false,
+                );
+                close_shed(rejected.stream);
             }
         })
         .map_err(std::io::Error::other)
@@ -627,20 +569,16 @@ fn spawn_acceptor(
 /// flight, answers with a reset, and the client can lose the reply it
 /// has not read yet. So the write half is shut first (the client reads
 /// the reply, then EOF), and the one request the client sends is read
-/// and dropped before the close: at most the HTTP head cap plus the
-/// declared body, or one capped query frame, within [`SHED_LINGER`].
-fn close_shed(stream: TcpStream, kind: ConnKind) {
+/// and dropped before the close: at most the head cap plus the declared
+/// body, within [`SHED_LINGER`], with memory bounded as in
+/// [`http::read_request`].
+fn close_shed(stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Write);
     let mut r = BufReader::new(Lingering {
         stream,
         until: Instant::now() + SHED_LINGER,
     });
-    match kind {
-        ConnKind::Http => {
-            let _ = http::read_request(&mut r);
-        }
-        ConnKind::Frame => crate::frames::discard_query(&mut r),
-    }
+    let _ = http::read_request(&mut r);
 }
 
 /// A socket whose reads share one deadline, however many there are.
@@ -662,10 +600,7 @@ impl Read for Lingering {
 
 fn worker_loop(shared: &Shared, queue: &ConnQueue, stop: &AtomicBool) {
     while let Some(conn) = queue.pop(stop) {
-        match conn.kind {
-            ConnKind::Http => serve_http_conn(shared, conn.stream, conn.arrived),
-            ConnKind::Frame => crate::frames::serve_frame_conn(shared, conn.stream, conn.arrived),
-        }
+        serve_http_conn(shared, conn.stream, conn.arrived);
     }
 }
 
@@ -692,7 +627,7 @@ fn serve_http_conn(shared: &Shared, stream: TcpStream, arrived: Instant) {
             &resp.body,
             false,
         );
-        close_shed(reader.into_inner(), ConnKind::Http);
+        close_shed(reader.into_inner());
         return;
     }
 

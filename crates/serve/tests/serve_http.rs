@@ -1,34 +1,20 @@
-//! End-to-end tests over real sockets: both listeners, the answer
+//! End-to-end tests over real sockets: the HTTP listener, the answer
 //! cache, batched-vs-per-request equivalence, and overload shedding.
 //!
 //! Every test binds its own server on an ephemeral port with its own
 //! temp cache dir, so the suite parallelizes under the normal libtest
 //! harness.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use socmix_serve::frames::{
-    OP_Q_ESCAPE, OP_Q_METRICS, OP_Q_MIX, REPLY_Q_ERR, REPLY_Q_OK, REPLY_Q_SHED,
-};
 use socmix_serve::{ServeConfig, Server, SHED_BODY};
 
-/// The client side of the serve codec: replies are read with no
-/// per-opcode cap (a metrics snapshot can be any size).
-mod frame {
-    pub use socmix_serve::frames::write_frame;
-
-    pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<(u8, Vec<u8>)> {
-        socmix_serve::frames::read_frame_capped(r, |_| u64::MAX)
-    }
-}
-
-/// A throwaway config bound to ephemeral ports.
+/// A throwaway config bound to an ephemeral port.
 fn test_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        frame_addr: Some("127.0.0.1:0".to_string()),
         threads: 4,
         ..ServeConfig::default()
     }
@@ -225,118 +211,6 @@ fn batched_and_per_request_serve_identical_bytes() {
 }
 
 #[test]
-fn frame_listener_matches_http_answers() {
-    let dir = temp_cache("frames");
-    let server = Server::start(test_config(), &dir).expect("server starts");
-    let addr = server.local_addr();
-    let frame_addr = server.frame_addr().expect("frame listener enabled");
-
-    let (status, body) = http(addr, "POST", "/load?graph=wiki-vote&scale=0.02&seed=3", "");
-    assert_eq!(status, 200, "load: {body}");
-    let (_, http_mix) = http(addr, "GET", "/mix?graph=wiki-vote&eps=0.25", "");
-
-    let stream = TcpStream::connect(frame_addr).expect("connect to frame listener");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    let mut writer = BufWriter::new(stream.try_clone().expect("clone"));
-    let mut reader = BufReader::new(stream);
-
-    frame::write_frame(
-        &mut writer,
-        OP_Q_MIX,
-        b"{\"graph\":\"wiki-vote\",\"eps\":0.25}",
-    )
-    .expect("send mix query");
-    writer.flush().expect("flush");
-    let (op, payload) = frame::read_frame(&mut reader).expect("mix reply");
-    assert_eq!(
-        op,
-        REPLY_Q_OK,
-        "reply: {}",
-        String::from_utf8_lossy(&payload)
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&payload),
-        http_mix,
-        "frame and HTTP answers must be byte-identical"
-    );
-
-    // Same connection, second query: escape.
-    frame::write_frame(
-        &mut writer,
-        OP_Q_ESCAPE,
-        b"{\"graph\":\"wiki-vote\",\"node\":0,\"w\":8}",
-    )
-    .expect("send escape query");
-    writer.flush().expect("flush");
-    let (op, payload) = frame::read_frame(&mut reader).expect("escape reply");
-    assert_eq!(op, REPLY_Q_OK);
-    let (_, http_esc) = http(addr, "GET", "/escape?graph=wiki-vote&node=0&w=8", "");
-    assert_eq!(String::from_utf8_lossy(&payload), http_esc);
-
-    // Unknown opcode: typed error, not a hang or disconnect-mid-frame.
-    frame::write_frame(&mut writer, 0x6f, b"{}").expect("send bogus opcode");
-    writer.flush().expect("flush");
-    let (op, payload) = frame::read_frame(&mut reader).expect("error reply");
-    assert_eq!(op, REPLY_Q_ERR);
-    assert!(String::from_utf8_lossy(&payload).contains("unknown query opcode"));
-
-    // Release the worker serving this connection before joining it.
-    drop(writer);
-    drop(reader);
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn oversized_frame_header_gets_a_typed_error_and_a_closed_connection() {
-    let dir = temp_cache("frame-caps");
-    let server = Server::start(test_config(), &dir).expect("server starts");
-    let frame_addr = server.frame_addr().expect("frame listener enabled");
-    let connect = || {
-        let stream = TcpStream::connect(frame_addr).expect("connect to frame listener");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("read timeout");
-        stream
-    };
-    // One byte over each opcode's payload cap. Only the header is
-    // sent: the listener must refuse on the announced length alone,
-    // before reading (or allocating for) any payload.
-    for (op, cap) in [(OP_Q_METRICS, 4u64 << 10), (OP_Q_MIX, 1u64 << 20)] {
-        let mut stream = connect();
-        let mut header = vec![op];
-        header.extend_from_slice(&(cap + 1).to_le_bytes());
-        stream.write_all(&header).expect("send oversized header");
-        let (reply, payload) = frame::read_frame(&mut stream).expect("error reply");
-        assert_eq!(reply, REPLY_Q_ERR, "opcode {op:#04x}");
-        let body = String::from_utf8_lossy(&payload);
-        let doc = socmix_obs::parse(&body).expect("error reply is JSON");
-        let msg = doc
-            .get("error")
-            .and_then(socmix_obs::Value::as_str)
-            .expect("error field");
-        assert!(
-            msg.contains(&format!("exceeds cap {cap}")),
-            "opcode {op:#04x}: {msg}"
-        );
-        // The listener drops the connection after the error reply.
-        let mut rest = Vec::new();
-        stream.read_to_end(&mut rest).expect("clean close");
-        assert!(rest.is_empty(), "opcode {op:#04x}: bytes after the error");
-    }
-    // A fresh connection is still answered.
-    let mut stream = connect();
-    frame::write_frame(&mut stream, OP_Q_METRICS, b"{}").expect("send metrics query");
-    let (reply, _) = frame::read_frame(&mut stream).expect("metrics reply");
-    assert_eq!(reply, REPLY_Q_OK);
-    drop(stream);
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn overload_sheds_with_typed_503_not_a_hang() {
     let dir = temp_cache("overload");
     let mut cfg = test_config();
@@ -381,19 +255,30 @@ fn overload_sheds_with_typed_503_not_a_hang() {
         assert_eq!(status, 503, "full queue sheds at accept (client {i})");
         assert_eq!(body, SHED_BODY, "shed body is the typed overload JSON");
     }
-    // The frame listener sheds the same way.
-    let frame_addr = server.frame_addr().expect("frame listener enabled");
+    // A shed client that sends a request body before it reads gets its
+    // whole reply too: the body is read and dropped before the close.
+    let admit = "{\"graph\":\"wiki-vote\",\"verifier\":0,\"suspects\":[1,2,3],\"w\":10}";
+    let post = format!(
+        "POST /admit HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\n\r\n{admit}",
+        admit.len()
+    );
     for i in 0..5 {
-        let mut extra = TcpStream::connect(frame_addr).expect("frame client connects");
+        let mut extra = TcpStream::connect(addr).expect("admit client connects");
         extra
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout");
-        frame::write_frame(&mut extra, OP_Q_MIX, b"{\"graph\":\"wiki-vote\"}")
-            .expect("frame query");
-        let (op, payload) = frame::read_frame(&mut extra)
-            .unwrap_or_else(|e| panic!("shed frame client {i} lost its reply: {e}"));
-        assert_eq!(op, REPLY_Q_SHED, "frame client {i}");
-        assert_eq!(payload, SHED_BODY.as_bytes());
+        extra.write_all(post.as_bytes()).expect("admit request");
+        let mut reply = Vec::new();
+        extra
+            .read_to_end(&mut reply)
+            .unwrap_or_else(|e| panic!("shed admit client {i} lost its reply: {e}"));
+        let (status, body) = parse_reply(&reply);
+        assert_eq!(
+            status, 503,
+            "full queue sheds a POST at accept (client {i})"
+        );
+        assert_eq!(body, SHED_BODY, "admit client {i}");
     }
 
     // The queued connection outlived its 100ms deadline while the hog
