@@ -21,12 +21,13 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
     // across 8 threads' worth of chunks is a few ns of real work.
     const N: usize = 256;
     let data: Vec<f64> = (0..N).map(|i| i as f64).collect();
+    let mut out = vec![0.0; N];
 
     let serial = Pool::serial();
     group.bench_function("tiny_body_serial", |b| {
         b.iter(|| {
-            serial.for_each_chunk(N, |range| {
-                black_box(&data[range]);
+            serial.for_each_chunk(&mut out, 1, |range, rows| {
+                black_box((&data[range], rows));
             })
         })
     });
@@ -34,8 +35,8 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
     let persistent = Pool::with_threads(8);
     group.bench_function("tiny_body_persistent8", |b| {
         b.iter(|| {
-            persistent.for_each_chunk(N, |range| {
-                black_box(&data[range]);
+            persistent.for_each_chunk(&mut out, 1, |range, rows| {
+                black_box((&data[range], rows));
             })
         })
     });

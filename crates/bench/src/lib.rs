@@ -3,6 +3,8 @@
 //! manifests, the bench-regression gate (`compare`), and the
 //! walk-length grids the paper's figures use.
 
+#![forbid(unsafe_code)]
+
 pub mod compare;
 pub mod manifest;
 pub mod output;

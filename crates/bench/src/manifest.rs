@@ -89,7 +89,6 @@ pub fn run_manifest(
             "env".into(),
             Value::Obj(vec![
                 ("SOCMIX_THREADS".into(), env_knob("SOCMIX_THREADS")),
-                ("SOCMIX_BLOCK".into(), env_knob("SOCMIX_BLOCK")),
                 ("SOCMIX_LOG".into(), env_knob("SOCMIX_LOG")),
                 ("SOCMIX_TRACE".into(), env_knob("SOCMIX_TRACE")),
             ]),
@@ -295,7 +294,7 @@ mod tests {
         assert!(matches!(m.get("trace_profile"), Some(Value::Null)));
         let env = m.get("env").unwrap();
         assert!(env.get("SOCMIX_TRACE").is_some());
-        assert!(env.get("SOCMIX_BLOCK").is_some());
+        assert!(env.get("SOCMIX_THREADS").is_some());
     }
 
     #[test]

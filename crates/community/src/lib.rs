@@ -13,6 +13,8 @@
 //!   detector, used by the ablation benches to show that graphs where
 //!   detection finds strong communities are exactly the slow mixers.
 
+#![forbid(unsafe_code)]
+
 mod labelprop;
 pub mod ncp;
 mod partition;

@@ -39,6 +39,8 @@
 //! assert!((t as f64) >= lo.floor());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod average;
 pub mod bounds;

@@ -30,31 +30,8 @@ static BLOCK_NS: Histogram = Histogram::new("core.probe.block_ns");
 /// 16 columns = 128 bytes per gathered row — two cache lines, small
 /// enough that a block of walk frontiers stays cache-resident on the
 /// catalog graphs, large enough to amortize the CSR stream ~16×.
-/// Override per probe with [`MixingProbe::block_size`] or globally
-/// with the `SOCMIX_BLOCK` environment variable.
+/// Override per probe with [`MixingProbe::block_size`].
 pub const DEFAULT_BLOCK: usize = 16;
-
-fn default_block() -> usize {
-    block_from_env(std::env::var("SOCMIX_BLOCK").ok().as_deref())
-}
-
-fn block_from_env(raw: Option<&str>) -> usize {
-    if let Some(v) = raw {
-        match parse_block(v) {
-            Some(b) => return b,
-            None => socmix_obs::warn_once!(
-                "core.probe",
-                "ignoring invalid SOCMIX_BLOCK={v:?}: expected a positive integer, \
-                 falling back to the default block of {DEFAULT_BLOCK}"
-            ),
-        }
-    }
-    DEFAULT_BLOCK
-}
-
-fn parse_block(v: &str) -> Option<usize> {
-    v.trim().parse::<usize>().ok().filter(|&b| b >= 1)
-}
 
 /// Per-source TVD series produced by a probe run.
 #[derive(Debug, Clone)]
@@ -141,7 +118,7 @@ impl<'g> MixingProbe<'g> {
             graph,
             kind: WalkKind::Plain,
             pool: Pool::new(),
-            block: default_block(),
+            block: DEFAULT_BLOCK,
             retire_epsilon: None,
         }
     }
@@ -168,7 +145,7 @@ impl<'g> MixingProbe<'g> {
     }
 
     /// Sets the number of sources evolved together per block (default
-    /// [`DEFAULT_BLOCK`], or `SOCMIX_BLOCK` from the environment).
+    /// [`DEFAULT_BLOCK`]).
     /// `1` degenerates to the serial per-source path.
     ///
     /// # Panics
@@ -424,34 +401,5 @@ mod tests {
     fn zero_block_size_rejected() {
         let g = fixtures::petersen();
         let _ = MixingProbe::new(&g).block_size(0);
-    }
-
-    #[test]
-    fn block_parse_accepts_positive_integers() {
-        assert_eq!(parse_block("1"), Some(1));
-        assert_eq!(parse_block(" 32 "), Some(32));
-        assert_eq!(parse_block("0"), None);
-        assert_eq!(parse_block("abc"), None);
-        assert_eq!(parse_block(""), None);
-        assert_eq!(parse_block("-4"), None);
-    }
-
-    #[test]
-    fn invalid_block_override_warns_and_falls_back() {
-        // the warning must be visible even if the ambient SOCMIX_LOG
-        // suppressed it
-        socmix_obs::set_log_level(socmix_obs::Level::Warn);
-        let _ = socmix_obs::take_recent_events();
-        assert_eq!(block_from_env(Some("0")), DEFAULT_BLOCK);
-        assert_eq!(block_from_env(Some("abc")), DEFAULT_BLOCK);
-        assert_eq!(block_from_env(None), DEFAULT_BLOCK);
-        assert_eq!(block_from_env(Some("24")), 24);
-        let warnings: Vec<String> = socmix_obs::take_recent_events()
-            .into_iter()
-            .filter(|e| e.contains("invalid SOCMIX_BLOCK"))
-            .collect();
-        // warn_once: the first invalid value warns, later ones are
-        // latched silent
-        assert_eq!(warnings.len(), 1, "got {warnings:?}");
     }
 }

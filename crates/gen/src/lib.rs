@@ -28,6 +28,8 @@
 //! assert!(socmix_graph::components::is_connected(&g));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ba;
 pub mod cache;
 pub mod catalog;

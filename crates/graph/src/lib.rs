@@ -40,6 +40,8 @@
 //! assert!(g.has_edge(0, 2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 pub mod centrality;
 pub mod components;

@@ -28,9 +28,10 @@
 //!   independent second method used to cross-check Lanczos.
 //! - [`vecops`] — the dense vector kernels shared by all of the
 //!   above.
-//! - [`workspace`] — per-thread reusable scratch buffers; with them
-//!   the operators above allocate **nothing** per application, so the
-//!   iterative drivers run allocation-free in steady state.
+//! - [`workspace`] — per-thread reusable scratch buffers, from the
+//!   O(n) vectors of the operators above to the batch evolver's
+//!   `n × B` blocks; with them nothing allocates per application, so
+//!   the iterative drivers run allocation-free in steady state.
 //!
 //! Spectral facts used throughout (Theorem 2 of the paper, after
 //! Sinclair): for a connected undirected graph the eigenvalues of `P`
@@ -39,9 +40,9 @@
 //! `S` for λ₁ is the known vector `D^{1/2}𝟙` (normalized), which we
 //! deflate explicitly instead of estimating.
 
-// Every pointer dereference inside an unsafe fn must carry its own
-// unsafe block (and SAFETY comment) instead of riding the signature.
-#![deny(unsafe_op_in_unsafe_fn)]
+// Parallel kernels write their output through the `&mut` row chunks
+// socmix-par hands out; nothing here needs `unsafe`.
+#![forbid(unsafe_code)]
 
 pub mod cg;
 pub mod dense;
@@ -55,7 +56,7 @@ pub mod workspace;
 
 pub use dense::{jacobi_eigen, DenseMatrix};
 pub use lanczos::{lanczos_extreme, lanczos_topk, LanczosOptions, LanczosResult, TopkResult};
-pub use multivec::{MultiLinearOp, MultiVec, MultiVecMut};
+pub use multivec::{MultiLinearOp, MultiVec};
 pub use op::{DeflatedOp, LazyOp, LinearOp, SymmetricWalkOp, WalkOp};
 pub use power::{
     power_iteration, spectral_radius_in_complement, PowerOptions, PowerResult, SpectralRadius,

@@ -13,7 +13,7 @@
 //! operations in the same order as the serial kernel, so batched
 //! results are bit-for-bit equal.
 
-use crate::op::{LazyOp, LinearOp, SendMut, WalkOp};
+use crate::op::{LazyOp, LinearOp, WalkOp};
 use socmix_obs::Counter;
 
 /// Batched walk-operator applications (one CSR traversal each).
@@ -137,7 +137,8 @@ pub trait MultiLinearOp: LinearOp {
     /// Raw-slice core: computes `Y[:, 0..width] = Op · X[:, 0..width]`
     /// over row-major blocks with `stride` doubles per row. `xs` and
     /// `ys` must each hold at least `dim * stride` entries. This is
-    /// the entry point for callers whose blocks live in arena scratch
+    /// the entry point for callers whose blocks are plain slices, such
+    /// as per-thread scratch ([`crate::workspace::with_scratch`]),
     /// rather than an owned [`MultiVec`].
     fn apply_multi_raw(&self, xs: &[f64], ys: &mut [f64], stride: usize, width: usize);
 
@@ -182,23 +183,19 @@ impl MultiLinearOp for WalkOp<'_> {
         let offsets = g.offsets();
         let targets = g.raw_targets();
         let inv_deg = self.inv_degrees();
-        // Disjoint row ranges of y per chunk; same SendMut pattern as
-        // the serial kernel.
-        let yptr = SendMut(ys.as_mut_ptr());
-        let ypref = &yptr;
-        self.pool().for_each_chunk(n, move |range| {
-            for j in range {
-                // SAFETY: chunks own disjoint row ranges of y.
-                let yr = unsafe { std::slice::from_raw_parts_mut(ypref.0.add(j * stride), width) };
-                gather_row_multi(
-                    &targets[offsets[j]..offsets[j + 1]],
-                    inv_deg,
-                    xs,
-                    stride,
-                    yr,
-                );
-            }
-        });
+        // Each chunk gets its own rows of y, as the serial kernel does.
+        self.pool()
+            .for_each_chunk(&mut ys[..n * stride], stride, |range, rows| {
+                for (yr, j) in rows.chunks_exact_mut(stride).zip(range) {
+                    gather_row_multi(
+                        &targets[offsets[j]..offsets[j + 1]],
+                        inv_deg,
+                        xs,
+                        stride,
+                        &mut yr[..width],
+                    );
+                }
+            });
     }
 }
 
@@ -263,78 +260,6 @@ impl<Op: MultiLinearOp> MultiLinearOp for LazyOp<Op> {
                 ys[base + c] = 0.5 * (ys[base + c] + xs[base + c]);
             }
         }
-    }
-}
-
-/// A borrowed row-major `n × width` block over caller-owned storage —
-/// the [`MultiVec`] shape without the owned allocation, so batch
-/// drivers can ping-pong blocks carved from arena scratch
-/// ([`crate::workspace::with_arena`]) instead of round-tripping the
-/// allocator per call.
-#[derive(Debug)]
-pub struct MultiVecMut<'a> {
-    data: &'a mut [f64],
-    n: usize,
-    width: usize,
-}
-
-impl<'a> MultiVecMut<'a> {
-    /// Wraps `data` as an `n × width` block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly `n * width` long.
-    pub fn new(data: &'a mut [f64], n: usize, width: usize) -> Self {
-        assert_eq!(data.len(), n * width, "backing slice length mismatch");
-        MultiVecMut { data, n, width }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.n
-    }
-
-    /// Number of columns (the stride).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Entry `(i, c)`.
-    #[inline]
-    pub fn get(&self, i: usize, c: usize) -> f64 {
-        self.data[i * self.width + c]
-    }
-
-    /// Sets entry `(i, c)`.
-    #[inline]
-    pub fn set(&mut self, i: usize, c: usize, v: f64) {
-        self.data[i * self.width + c] = v;
-    }
-
-    /// Swaps columns `a` and `b` in every row.
-    pub fn swap_columns(&mut self, a: usize, b: usize) {
-        assert!(a < self.width && b < self.width, "column out of range");
-        if a == b {
-            return;
-        }
-        for i in 0..self.n {
-            self.data.swap(i * self.width + a, i * self.width + b);
-        }
-    }
-
-    /// Sets every entry to zero.
-    pub fn clear(&mut self) {
-        self.data.fill(0.0);
-    }
-
-    /// The raw row-major backing slice.
-    pub fn as_slice(&self) -> &[f64] {
-        self.data
-    }
-
-    /// The raw mutable row-major backing slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        self.data
     }
 }
 
@@ -501,29 +426,6 @@ mod tests {
         let mut raw = vec![0.0; n * 2];
         op.apply_multi_raw(x.as_slice(), &mut raw, 2, 2);
         assert_eq!(raw.as_slice(), y.as_slice());
-    }
-
-    #[test]
-    fn multivec_mut_view_roundtrip() {
-        let mut backing = vec![0.0; 4 * 2];
-        let mut v = MultiVecMut::new(&mut backing, 4, 2);
-        assert_eq!(v.rows(), 4);
-        assert_eq!(v.width(), 2);
-        v.set(1, 0, 3.0);
-        v.set(1, 1, 4.0);
-        assert_eq!(v.get(1, 0), 3.0);
-        v.swap_columns(0, 1);
-        assert_eq!(v.get(1, 0), 4.0);
-        assert_eq!(v.get(1, 1), 3.0);
-        v.clear();
-        assert!(v.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "backing slice length mismatch")]
-    fn multivec_mut_rejects_short_backing() {
-        let mut backing = vec![0.0; 5];
-        let _ = MultiVecMut::new(&mut backing, 4, 2);
     }
 
     #[test]

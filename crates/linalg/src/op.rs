@@ -116,20 +116,15 @@ impl LinearOp for WalkOp<'_> {
             let offsets = g.offsets();
             let targets = g.raw_targets();
             let zref = &*z;
-            // Parallel write without locks: chunks own disjoint ranges
-            // of y.
-            let yptr = SendMut(y.as_mut_ptr());
-            let ypref = &yptr;
-            self.pool.for_each_chunk(n, move |range| {
-                for j in range {
+            // Parallel write without locks: each chunk gets its own
+            // rows of y.
+            self.pool.for_each_chunk(y, 1, |range, ys| {
+                for (yj, j) in ys.iter_mut().zip(range) {
                     let mut acc = 0.0;
                     for &i in &targets[offsets[j]..offsets[j + 1]] {
                         acc += zref[i as usize];
                     }
-                    // SAFETY: ranges from for_each_chunk are disjoint.
-                    unsafe {
-                        *ypref.0.add(j) = acc;
-                    }
+                    *yj = acc;
                 }
             });
         });
@@ -209,18 +204,13 @@ impl LinearOp for SymmetricWalkOp<'_> {
             let targets = g.raw_targets();
             let zref = &*z;
             let inv = &self.inv_sqrt_deg;
-            let yptr = SendMut(y.as_mut_ptr());
-            let ypref = &yptr;
-            self.pool.for_each_chunk(n, move |range| {
-                for i in range {
+            self.pool.for_each_chunk(y, 1, |range, ys| {
+                for (yi, i) in ys.iter_mut().zip(range) {
                     let mut acc = 0.0;
                     for &j in &targets[offsets[i]..offsets[i + 1]] {
                         acc += zref[j as usize];
                     }
-                    // SAFETY: ranges from for_each_chunk are disjoint.
-                    unsafe {
-                        *ypref.0.add(i) = acc * inv[i];
-                    }
+                    *yi = acc * inv[i];
                 }
             });
         });
@@ -327,19 +317,6 @@ impl LinearOp for DenseOp {
         }
     }
 }
-
-/// Raw-pointer wrapper so disjoint chunks can write one output slice
-/// without a lock (same pattern as `socmix-par`'s map); the batched
-/// kernel in [`crate::multivec`] shares it.
-pub(crate) struct SendMut(pub(crate) *mut f64);
-// SAFETY: workers write only the rows of their own chunk (entry `i`,
-// or row `i`'s entries of a row-major block), and chunks partition the
-// rows, so the pointer never produces overlapping mutable access;
-// `f64` is trivially sendable.
-unsafe impl Send for SendMut {}
-// SAFETY: shared copies carry only the base address; disjointness of
-// the written rows (Send argument above) rules out aliased `&mut`.
-unsafe impl Sync for SendMut {}
 
 #[cfg(test)]
 mod tests {

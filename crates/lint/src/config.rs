@@ -227,7 +227,6 @@ impl Config {
                     "crates/obs/src/event.rs",
                     "crates/obs/src/lib.rs",
                     "crates/par/src/lib.rs",
-                    "crates/core/src/probe.rs",
                     "crates/bench/src/manifest.rs",
                     "crates/serve/src/knobs.rs",
                 ]),
@@ -300,7 +299,6 @@ impl Config {
                 "crates/obs/src/event.rs",
                 "crates/obs/src/lib.rs",
                 "crates/par/src/lib.rs",
-                "crates/core/src/probe.rs",
                 "crates/serve/src/knobs.rs",
             ]),
         }

@@ -22,6 +22,8 @@
 //! [paths…]`; see the README's "Static analysis" section for the
 //! diagnostic-code table and the allow-pragma contract.
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod config;
 pub mod cross;

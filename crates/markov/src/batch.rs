@@ -5,13 +5,13 @@
 //! pass per source, re-streaming the whole edge array through cache
 //! each time. [`BatchEvolver`] evolves a **block** of `B` sources
 //! simultaneously: one CSR traversal serves all `B` columns
-//! ([`MultiLinearOp::apply_multi_raw`]), two ping-pong blocks carved
-//! from the thread-local bump arena (`socmix_linalg::workspace::
-//! with_arena`) ping-pong with no per-step — and, across repeated
-//! probe calls, no per-call — heap allocation, the per-column TVD-to-π
-//! is folded into the same pass structure, and columns whose TVD has
-//! dropped below a retirement threshold are swapped out of the active
-//! prefix so they stop paying for steps.
+//! ([`MultiLinearOp::apply_multi_raw`]), two ping-pong blocks checked
+//! out of the thread's scratch pool ([`with_scratch`]) alternate with
+//! no per-step — and, across repeated probe calls, no per-call — heap
+//! allocation, the per-column TVD-to-π is folded into the same pass
+//! structure, and columns whose TVD has dropped below a retirement
+//! threshold are swapped out of the active prefix so they stop paying
+//! for steps.
 //!
 //! # Exactness
 //!
@@ -26,8 +26,8 @@
 use crate::ergodic::WalkKind;
 use crate::stationary::stationary_distribution;
 use socmix_graph::{Graph, NodeId};
-use socmix_linalg::workspace::with_arena;
-use socmix_linalg::{MultiLinearOp, MultiVecMut, WalkOp};
+use socmix_linalg::workspace::with_scratch;
+use socmix_linalg::{MultiLinearOp, WalkOp};
 use socmix_obs::Counter;
 use socmix_par::Pool;
 
@@ -40,9 +40,9 @@ static RETIRED: Counter = Counter::new("markov.batch.retired");
 /// Evolves blocks of source distributions under one walk kernel.
 ///
 /// Construction precomputes π and the inverse-degree table once; the
-/// per-block methods take `&self` and carve their two ping-pong
-/// blocks from the calling thread's scratch arena, so one
-/// `BatchEvolver` can be shared across the worker threads that
+/// per-block methods take `&self` and check their two ping-pong
+/// blocks and TVD row out of the calling thread's scratch pool, so
+/// one `BatchEvolver` can be shared across the worker threads that
 /// process different blocks without contending on the allocator.
 ///
 /// # Example
@@ -154,35 +154,19 @@ impl<'g> BatchEvolver<'g> {
         t_max: usize,
         retire_epsilon: Option<f64>,
     ) -> Vec<Vec<f64>> {
-        let n = self.graph.num_nodes();
         let b = sources.len();
         assert!(b > 0, "tvd_series_block needs at least one source");
-        for &s in sources {
-            assert!(
-                (s as usize) < n,
-                "source node {s} is out of range for a graph with {n} nodes"
-            );
-        }
-        // Both ping-pong blocks live in the thread-local bump arena:
-        // repeated probe calls reuse the same retained slab instead of
-        // round-tripping the allocator per block.
-        with_arena(|arena| {
-            let mut cur = MultiVecMut::new(arena.alloc_f64(n * b), n, b);
-            for (c, &s) in sources.iter().enumerate() {
-                cur.set(s as usize, c, 1.0);
-            }
-            let mut next = MultiVecMut::new(arena.alloc_f64(n * b), n, b);
-            let mut out = vec![Vec::with_capacity(t_max); b];
+        self.with_blocks(sources, |mut cur, mut next, tvds| {
+            let mut out: Vec<Vec<f64>> = (0..b).map(|_| Vec::with_capacity(t_max)).collect();
             // active[j] = original column index stored at packed column j
             let mut active: Vec<usize> = (0..b).collect();
             let mut width = b;
-            let tvds = arena.alloc_f64(b);
             for _ in 0..t_max {
                 if width == 0 {
                     break;
                 }
-                self.step_block(cur.as_slice(), next.as_mut_slice(), b, width);
-                self.tvd_block(next.as_slice(), b, width, tvds);
+                self.step_block(cur, next, b, width);
+                self.tvd_block(next, b, width, tvds);
                 for j in 0..width {
                     out[active[j]].push(tvds[j]);
                 }
@@ -197,7 +181,7 @@ impl<'g> BatchEvolver<'g> {
                             // the retired column keeps its final TVD.
                             let d = *out[k].last().expect("just pushed");
                             out[k].resize(t_max, d);
-                            next.swap_columns(j, width - 1);
+                            swap_columns(next, b, j, width - 1);
                             active.swap(j, width - 1);
                             width -= 1;
                             RETIRED.incr();
@@ -237,35 +221,69 @@ impl<'g> BatchEvolver<'g> {
             lengths.windows(2).all(|w| w[0] < w[1]),
             "lengths must be sorted"
         );
-        let n = self.graph.num_nodes();
         let b = sources.len();
         assert!(b > 0, "tvd_at_lengths_block needs at least one source");
-        with_arena(|arena| {
-            let mut cur = MultiVecMut::new(arena.alloc_f64(n * b), n, b);
-            for (c, &s) in sources.iter().enumerate() {
-                assert!(
-                    (s as usize) < n,
-                    "source node {s} is out of range for a graph with {n} nodes"
-                );
-                cur.set(s as usize, c, 1.0);
-            }
-            let mut next = MultiVecMut::new(arena.alloc_f64(n * b), n, b);
-            let mut out = vec![Vec::with_capacity(lengths.len()); b];
-            let tvds = arena.alloc_f64(b);
+        self.with_blocks(sources, |mut cur, mut next, tvds| {
+            let mut out: Vec<Vec<f64>> =
+                (0..b).map(|_| Vec::with_capacity(lengths.len())).collect();
             let mut t = 0usize;
             for &target in lengths {
                 while t < target {
-                    self.step_block(cur.as_slice(), next.as_mut_slice(), b, b);
+                    self.step_block(cur, next, b, b);
                     std::mem::swap(&mut cur, &mut next);
                     t += 1;
                 }
-                self.tvd_block(cur.as_slice(), b, b, tvds);
+                self.tvd_block(cur, b, b, tvds);
                 for (k, row) in out.iter_mut().enumerate() {
                     row.push(tvds[k]);
                 }
             }
             out
         })
+    }
+
+    /// Runs `f` with the two zeroed `n × b` row-major ping-pong blocks
+    /// and the `b`-entry TVD row of one block of `b = sources.len()`
+    /// sources, all checked out of the calling thread's scratch pool
+    /// (nested checkouts are distinct), with column `c` of the first
+    /// block set to the point mass on `sources[c]`. Zero-filling keeps
+    /// results independent of what the pool held before.
+    fn with_blocks<R>(
+        &self,
+        sources: &[NodeId],
+        f: impl for<'a> FnOnce(&'a mut [f64], &'a mut [f64], &mut [f64]) -> R,
+    ) -> R {
+        let n = self.graph.num_nodes();
+        let b = sources.len();
+        for &s in sources {
+            assert!(
+                (s as usize) < n,
+                "source node {s} is out of range for a graph with {n} nodes"
+            );
+        }
+        with_scratch(n * b, |cur| {
+            with_scratch(n * b, |next| {
+                with_scratch(b, |tvds| {
+                    cur.fill(0.0);
+                    next.fill(0.0);
+                    for (c, &s) in sources.iter().enumerate() {
+                        cur[s as usize * b + c] = 1.0;
+                    }
+                    f(cur, next, tvds)
+                })
+            })
+        })
+    }
+}
+
+/// Swaps columns `a` and `c` in every row of a row-major block with
+/// `stride` entries per row (compacts a retired column out of the
+/// active prefix).
+fn swap_columns(block: &mut [f64], stride: usize, a: usize, c: usize) {
+    if a != c {
+        for row in block.chunks_exact_mut(stride) {
+            row.swap(a, c);
+        }
     }
 }
 

@@ -22,6 +22,8 @@
 //! - [`ergodic`] — connectivity/aperiodicity checks and the lazy-walk
 //!   fallback for bipartite graphs.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod dist;
 pub mod ergodic;

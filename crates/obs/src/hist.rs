@@ -53,11 +53,12 @@ impl Histogram {
         if !crate::metrics_enabled() {
             return;
         }
-        // ORDERING: Acquire pairs with the AcqRel swap in `register` so
-        // a thread that sees the flag set also sees the registration it
-        // guards; a stale `false` is harmless — the swap dedupes.
+        // ORDERING: Acquire pairs with the Release store in
+        // `registry::publish` so a thread that sees the flag set also
+        // sees the registration it guards; a stale `false` is harmless
+        // — `publish` dedupes.
         if !self.registered.load(Ordering::Acquire) {
-            self.register();
+            crate::registry::publish(&self.registered, |r| r.hists.push(self));
         }
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -93,16 +94,6 @@ impl Histogram {
         self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
-    }
-
-    #[cold]
-    fn register(&'static self) {
-        // ORDERING: AcqRel — the release half publishes the flag to the
-        // Acquire fast-path load in `record`; the RMW's atomicity picks
-        // exactly one winner, so the registry sees each histogram once.
-        if !self.registered.swap(true, Ordering::AcqRel) {
-            crate::registry::register_hist(self);
-        }
     }
 }
 

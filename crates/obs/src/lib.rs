@@ -52,6 +52,8 @@
 //! gates are single atomics: flipping them is safe at any time from
 //! any thread.
 
+#![forbid(unsafe_code)]
+
 mod event;
 pub mod export;
 mod hist;

@@ -3,10 +3,12 @@
 //! Instruments are declared as `static` items (`Counter::new` is
 //! `const`) and register themselves into a process-wide list on first
 //! touch — declaration costs nothing, and a counter that never fires
-//! never appears in a snapshot. Registration is an
-//! acquire-load/once-swap on an [`AtomicBool`], so the steady-state
-//! cost of `add` is the metrics-gate load plus one relaxed
-//! `fetch_add`.
+//! never appears in a snapshot. Registration pushes the instrument
+//! under the registry lock and only then sets its [`AtomicBool`] flag,
+//! so an instrument that has recorded anything is listed in every
+//! snapshot ordered after that recording. The steady-state cost of
+//! `add` is the metrics-gate load, an acquire load of the flag and one
+//! relaxed `fetch_add`.
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -42,11 +44,11 @@ impl Counter {
         if !crate::metrics_enabled() {
             return;
         }
-        // ORDERING: Acquire pairs with the AcqRel swap in `register` so
-        // a thread that sees the flag set also sees the registration it
-        // guards; a stale `false` is harmless — the swap dedupes.
+        // ORDERING: Acquire pairs with the Release store in `publish`
+        // so a thread that sees the flag set also sees the registration
+        // it guards; a stale `false` is harmless — `publish` dedupes.
         if !self.registered.load(Ordering::Acquire) {
-            self.register();
+            publish(&self.registered, |r| r.counters.push(self));
         }
         self.value.fetch_add(n, Ordering::Relaxed);
     }
@@ -65,16 +67,6 @@ impl Counter {
     /// The registered name.
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    #[cold]
-    fn register(&'static self) {
-        // ORDERING: AcqRel — release publishes the flag to the Acquire
-        // fast-path load in `add`; the RMW picks exactly one winner, so
-        // the registry sees each counter once.
-        if !self.registered.swap(true, Ordering::AcqRel) {
-            registry().lock().unwrap().counters.push(self);
-        }
     }
 }
 
@@ -102,10 +94,10 @@ impl Gauge {
         if !crate::metrics_enabled() {
             return;
         }
-        // ORDERING: Acquire pairs with the AcqRel swap in `register`,
+        // ORDERING: Acquire pairs with the Release store in `publish`,
         // same contract as `Counter::add`.
         if !self.registered.load(Ordering::Acquire) {
-            self.register();
+            publish(&self.registered, |r| r.gauges.push(self));
         }
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
@@ -119,23 +111,13 @@ impl Gauge {
     pub fn name(&self) -> &'static str {
         self.name
     }
-
-    #[cold]
-    fn register(&'static self) {
-        // ORDERING: AcqRel — release publishes the flag to the Acquire
-        // fast-path load in `add`; the RMW picks exactly one winner, so
-        // the registry sees each gauge once.
-        if !self.registered.swap(true, Ordering::AcqRel) {
-            registry().lock().unwrap().gauges.push(self);
-        }
-    }
 }
 
 #[derive(Default)]
-struct Registry {
+pub(crate) struct Registry {
     counters: Vec<&'static Counter>,
     gauges: Vec<&'static Gauge>,
-    hists: Vec<&'static Histogram>,
+    pub(crate) hists: Vec<&'static Histogram>,
 }
 
 fn registry() -> &'static Mutex<Registry> {
@@ -143,9 +125,25 @@ fn registry() -> &'static Mutex<Registry> {
     REG.get_or_init(|| Mutex::new(Registry::default()))
 }
 
-/// Registers a histogram; called from `Histogram::record`.
-pub(crate) fn register_hist(h: &'static Histogram) {
-    registry().lock().unwrap().hists.push(h);
+/// Registers an instrument once: under the registry lock, `push` adds
+/// it and only then is its `flag` set. A recorder that sees the flag
+/// set therefore skips registering only once the instrument is listed,
+/// so a snapshot ordered after its recording (say, after a pool job
+/// whose worker counted a chunk returns) lists the instrument. Setting
+/// the flag before the push would leave a window in which a counted
+/// value is missing from such a snapshot.
+#[cold]
+pub(crate) fn publish(flag: &AtomicBool, push: impl FnOnce(&mut Registry)) {
+    let mut reg = registry().lock().unwrap();
+    // Relaxed: the flag is written only under this lock, which orders
+    // this load after any earlier registration.
+    if !flag.load(Ordering::Relaxed) {
+        push(&mut reg);
+        // ORDERING: Release pairs with the Acquire fast-path loads in
+        // `add` and `record`: a thread that sees the flag set also sees
+        // the push above, and so does any snapshot ordered after it.
+        flag.store(true, Ordering::Release);
+    }
 }
 
 /// A point-in-time copy of every registered instrument.

@@ -26,7 +26,8 @@
 //! provides the small subset we need:
 //!
 //! - [`par_map_indexed`] — map a function over `0..n` into a `Vec`,
-//! - [`par_for_each_chunk`] — process disjoint index ranges in parallel,
+//! - [`par_for_each_chunk`] — hand each chunk of an output slice's rows
+//!   to a body as its own `&mut` sub-slice, in parallel,
 //! - [`par_reduce_indexed`] — map over `0..n` and fold the results,
 //! - [`Pool`] — a reusable handle carrying the thread count.
 //!
@@ -36,6 +37,12 @@
 //! depends only on `(n, threads)`, never on worker wake order — and
 //! since chunks own disjoint output ranges, every result in this crate
 //! is **bit-for-bit identical** across runs.
+//!
+//! This is the workspace's only crate with `unsafe` code: the runtime's
+//! borrowed job body and the one place ([`par_for_each_chunk`]) that
+//! splits an output slice into per-chunk `&mut` sub-slices. Every other
+//! crate writes parallel output through those sub-slices and compiles
+//! under `#![forbid(unsafe_code)]`.
 //!
 //! # Example
 //!

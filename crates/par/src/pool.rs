@@ -63,13 +63,21 @@ impl Pool {
         scheduler::par_map_indexed_with(n, self.threads, f)
     }
 
-    /// Runs `body` over disjoint chunks of `0..n` using this pool.
-    pub fn for_each_chunk<F>(&self, n: usize, body: F)
+    /// Runs `body` over disjoint chunks of the rows of `out` (rows of
+    /// `stride` elements) using this pool; each call gets its row
+    /// range and the `&mut` sub-slice holding exactly those rows (see
+    /// [`crate::par_for_each_chunk`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is 0 or does not divide `out.len()`.
+    pub fn for_each_chunk<T, F>(&self, out: &mut [T], stride: usize, body: F)
     where
-        F: Fn(std::ops::Range<usize>) + Sync,
+        T: Send,
+        F: Fn(std::ops::Range<usize>, &mut [T]) + Sync,
     {
         let _span = Span::start(&POOL_CHUNKS_NS);
-        scheduler::par_for_each_chunk(n, self.threads, body);
+        scheduler::par_for_each_chunk(out, stride, self.threads, body);
     }
 
     /// Maps `f` over `0..n` and folds the results with `fold` using

@@ -126,8 +126,15 @@ impl Job {
     /// panicking body poisons the job and stashes the payload for the
     /// dispatcher to re-raise (module docs, "Panic safety").
     fn run_chunks(&self) {
-        // claims are tallied locally and flushed once on exit so the
-        // hot claim loop carries no shared-counter traffic
+        // One gate check per claimant: the disabled path skips the TLS
+        // read and every per-chunk count below.
+        let tally = socmix_obs::metrics_enabled().then(|| {
+            if IS_WORKER.with(Cell::get) {
+                &CHUNKS_WORKER
+            } else {
+                &CHUNKS_CALLER
+            }
+        });
         let mut claimed = 0u64;
         loop {
             let u = self.cursor.fetch_add(1, Ordering::Relaxed);
@@ -160,6 +167,12 @@ impl Job {
                     *slot = Some(payload);
                 }
             }
+            // Count the chunk before retiring it: the retiring
+            // decrement may wake the dispatcher, whose caller reads the
+            // counters as soon as `run` returns.
+            if let Some(chunks) = tally {
+                chunks.incr();
+            }
             // ORDERING: AcqRel — release publishes this worker's body
             // effects to whoever observes the count hit zero; acquire
             // makes the last decrementer see every other worker's
@@ -169,14 +182,7 @@ impl Job {
                 self.done_cv.notify_all();
             }
         }
-        // One gate check covers the whole flush, so the disabled path
-        // skips the TLS read and the per-instrument gate loads.
-        if claimed > 0 && socmix_obs::metrics_enabled() {
-            if IS_WORKER.with(Cell::get) {
-                CHUNKS_WORKER.add(claimed);
-            } else {
-                CHUNKS_CALLER.add(claimed);
-            }
+        if claimed > 0 && tally.is_some() {
             CHUNKS_PER_CLAIMANT.record(claimed);
         }
     }

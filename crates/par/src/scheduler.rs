@@ -41,20 +41,69 @@ impl ChunkPlan {
     }
 }
 
-/// Runs `body` over disjoint chunks of `0..n` on `threads` threads via
-/// the persistent worker pool.
+/// Runs `body` over disjoint chunks of the rows of `out` on `threads`
+/// threads via the persistent worker pool.
 ///
-/// `body` receives the half-open range it owns. Chunks are claimed
-/// dynamically from a shared cursor, so uneven chunk costs still
-/// balance. With `threads == 1` (or `n` small enough to fit one chunk)
-/// the body runs on the calling thread with no pool interaction at
-/// all.
-pub fn par_for_each_chunk<F>(n: usize, threads: usize, body: F)
+/// `out` holds `out.len() / stride` rows of `stride` elements each,
+/// planned by [`ChunkPlan::new`]`(rows, threads)`. Each body call
+/// receives the half-open row range it owns and the `&mut` sub-slice
+/// holding exactly those rows (`range.len() * stride` elements), so a
+/// chunk can write its output without a lock and without aliasing
+/// another chunk's rows. Chunks are claimed dynamically from a shared
+/// cursor, so uneven chunk costs still balance. With `threads == 1`
+/// (or few enough rows to fit one chunk) the body runs on the calling
+/// thread with no pool interaction at all.
+///
+/// # Panics
+///
+/// Panics if `stride` is 0 or does not divide `out.len()`.
+pub fn par_for_each_chunk<T, F>(out: &mut [T], stride: usize, threads: usize, body: F)
 where
-    F: Fn(std::ops::Range<usize>) + Sync,
+    T: Send,
+    F: Fn(std::ops::Range<usize>, &mut [T]) + Sync,
 {
-    crate::runtime::run(ChunkPlan::new(n, threads), threads, &body);
+    assert!(
+        stride > 0 && out.len().is_multiple_of(stride),
+        "output length {} is not a whole number of rows of stride {stride}",
+        out.len()
+    );
+    let rows = out.len() / stride;
+    let base = SendPtr(out.as_mut_ptr());
+    let base = &base;
+    let body = &body;
+    crate::runtime::run(
+        ChunkPlan::new(rows, threads),
+        threads,
+        &move |range: std::ops::Range<usize>| {
+            // SAFETY: the plan's chunks are disjoint half-open ranges
+            // of 0..rows and each is claimed by exactly one body call,
+            // so the element ranges `start * stride..end * stride` never
+            // overlap and no two live `&mut` sub-slices alias; they lie
+            // inside `out`, whose exclusive borrow outlives the
+            // dispatch (`run` returns only after every body call has).
+            let chunk = unsafe {
+                std::slice::from_raw_parts_mut(
+                    base.0.add(range.start * stride),
+                    range.len() * stride,
+                )
+            };
+            body(range, chunk);
+        },
+    );
 }
+
+/// Raw-pointer wrapper so disjoint chunks can write one output buffer
+/// without a lock.
+struct SendPtr<T>(*mut T);
+// SAFETY: `par_for_each_chunk` turns the pointer into one `&mut`
+// sub-slice per chunk, and the planner hands out disjoint row ranges,
+// so no element is ever aliased across threads; `T: Send` lets the
+// written values change threads.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: sharing the wrapper shares only the pointer value; all
+// writes stay range-disjoint per the Send argument above, so shared
+// references never yield overlapping `&mut T`.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Maps `f` over `0..n` in parallel and collects results in index order.
 pub fn par_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
@@ -72,27 +121,11 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let mut out = vec![T::default(); n];
-    {
-        // Each chunk owns a disjoint slice of `out`; hand out raw parts
-        // through a shared pointer wrapper to avoid a mutex per element.
-        let base = SendPtr(out.as_mut_ptr());
-        let base = &base;
-        let f = &f;
-        crate::runtime::run(
-            ChunkPlan::new(n, threads),
-            threads,
-            &move |range: std::ops::Range<usize>| {
-                for i in range {
-                    // SAFETY: chunks are disjoint half-open ranges of
-                    // 0..n, so each `i` is written by exactly one
-                    // worker, and `out` outlives the dispatch.
-                    unsafe {
-                        *base.0.add(i) = f(i);
-                    }
-                }
-            },
-        );
-    }
+    par_for_each_chunk(&mut out, 1, threads, |range, slots| {
+        for (slot, i) in slots.iter_mut().zip(range) {
+            *slot = f(i);
+        }
+    });
     out
 }
 
@@ -116,9 +149,10 @@ where
 
 /// As [`par_reduce_indexed`] but with an explicit thread count.
 ///
-/// Partials live in one slot per chunk — workers never contend on a
-/// lock (the old implementation pushed partials through a
-/// `Mutex<Vec<T>>`, serializing every chunk completion).
+/// Partials live in one slot per chunk of the index plan, and the
+/// slots are themselves the rows of a [`par_for_each_chunk`] output:
+/// a plan has at most four chunks per thread, so the slot plan gives
+/// each claim exactly one slot and workers never contend on a lock.
 pub(crate) fn par_reduce_indexed_with<T, F, R>(
     n: usize,
     threads: usize,
@@ -132,47 +166,16 @@ where
     R: Fn(T, T) -> T + Sync + Send,
 {
     let plan = ChunkPlan::new(n, threads);
-    let units = plan.units();
-    if units == 0 {
-        return identity;
-    }
-    let mut slots: Vec<Option<T>> = vec![None; units];
-    {
-        let base = SendPtr(slots.as_mut_ptr());
-        let base = &base;
-        let f = &f;
-        let fold = &fold;
-        let identity = &identity;
-        let chunk = plan.chunk;
-        crate::runtime::run(plan, threads, &move |range: std::ops::Range<usize>| {
-            let u = range.start / chunk;
-            let mut acc = identity.clone();
-            for i in range {
-                acc = fold(acc, f(i));
-            }
-            // SAFETY: chunk `u` is claimed by exactly one worker,
-            // so slot `u` has exactly one writer, and `slots`
-            // outlives the dispatch.
-            unsafe {
-                *base.0.add(u) = Some(acc);
-            }
-        });
-    }
-    slots.into_iter().flatten().fold(identity, fold)
+    let mut slots = vec![identity.clone(); plan.units()];
+    par_for_each_chunk(&mut slots, 1, threads, |units, parts| {
+        for (slot, u) in parts.iter_mut().zip(units) {
+            *slot = plan
+                .range(u)
+                .fold(identity.clone(), |acc, i| fold(acc, f(i)));
+        }
+    });
+    slots.into_iter().fold(identity, fold)
 }
-
-/// Raw-pointer wrapper so disjoint chunks can write one output buffer
-/// without a lock.
-struct SendPtr<T>(*mut T);
-// SAFETY: every chunk body writes only `ptr.add(i)` for `i` inside
-// its own half-open range, and the planner hands out disjoint ranges,
-// so no element is ever aliased across threads; `T: Send` lets the
-// written values change threads.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: sharing the wrapper shares only the pointer value; all
-// writes stay range-disjoint per the Send argument above, so shared
-// references never yield overlapping `&mut T`.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {
@@ -245,13 +248,31 @@ mod tests {
 
     #[test]
     fn for_each_chunk_disjoint_writes() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let hits: Vec<AtomicU32> = (0..513).map(|_| AtomicU32::new(0)).collect();
-        par_for_each_chunk(513, 4, |range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
+        // every row is handed out exactly once, as the rows of its own
+        // chunk's sub-slice, whatever the stride, row count and width
+        for threads in [1usize, 2, 8] {
+            for stride in [1usize, 3] {
+                for rows in [0usize, 1, 7, 33, 513] {
+                    let mut out = vec![0u32; rows * stride];
+                    par_for_each_chunk(&mut out, stride, threads, |range, chunk| {
+                        assert_eq!(chunk.len(), range.len() * stride);
+                        for (row, i) in chunk.chunks_exact_mut(stride).zip(range) {
+                            for (c, v) in row.iter_mut().enumerate() {
+                                *v += (i * stride + c) as u32 + 1;
+                            }
+                        }
+                    });
+                    let want: Vec<u32> = (1..=rows * stride).map(|v| v as u32).collect();
+                    assert_eq!(out, want, "threads {threads}, stride {stride}, rows {rows}");
+                }
             }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a whole number of rows")]
+    fn for_each_chunk_rejects_a_partial_row() {
+        let mut out = vec![0.0f64; 10];
+        par_for_each_chunk(&mut out, 3, 2, |_, _| {});
     }
 }

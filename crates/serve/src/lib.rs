@@ -39,6 +39,8 @@
 //! past the per-request deadline shed instead of queueing unboundedly
 //! ([`server`]).
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod cache;
 pub mod catalog;

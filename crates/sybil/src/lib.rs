@@ -26,6 +26,8 @@
 //! - [`experiment`] — the admission-rate and Sybil-yield experiment
 //!   drivers used by the `repro` harness.
 
+#![forbid(unsafe_code)]
+
 pub mod attack;
 pub mod experiment;
 pub mod ranking;

@@ -37,6 +37,8 @@
 //! assert!(lo > 1.0 && hi > lo);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 
 pub use socmix_community as community;

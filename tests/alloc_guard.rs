@@ -1,4 +1,5 @@
-//! Allocation guards for the f64 Lanczos drivers.
+//! Allocation guards for the f64 Lanczos drivers and the batched
+//! evolver.
 //!
 //! `lanczos_extreme` keeps no basis: past a fixed set-up cost, only
 //! its convergence checks allocate. `lanczos_topk` allocates one
@@ -7,7 +8,9 @@
 //! particular each Gram–Schmidt sweep, must reuse memory. An
 //! allocation per sweep once showed up as a change in heap layout that
 //! slowed the graph generation after each solve, so these tests count
-//! the calling thread's allocations around one solve.
+//! the calling thread's allocations around one solve. `BatchEvolver`
+//! takes its blocks from the per-thread scratch pool, so once warm a
+//! block allocates the same whatever its walk length.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,6 +21,7 @@ use socmix::gen::ba::barabasi_albert;
 use socmix::graph::Graph;
 use socmix::linalg::tridiag::{tridiag_eigen, tridiag_eigen_last_row};
 use socmix::linalg::{lanczos_extreme, lanczos_topk, DeflatedOp, LanczosOptions, SymmetricWalkOp};
+use socmix::markov::BatchEvolver;
 use socmix::par::Pool;
 
 thread_local! {
@@ -182,4 +186,44 @@ fn lanczos_allocates_once_per_step() {
         "{total} allocations in {steps} steps: more than one per step \
          + {checks} for the checks + {TOPK_SETUP_ALLOCS} set-up"
     );
+}
+
+#[test]
+fn batch_evolver_allocates_nothing_per_step_or_block() {
+    // Once one block has warmed this thread's scratch pool, a block
+    // allocates only its output (the series and the active-column
+    // index): no block, no TVD row, and no growth of a series per
+    // step, with or without retirement.
+    let g = graph();
+    let batch = BatchEvolver::new(&g);
+    let sources: Vec<u32> = (0..16).map(|k| k * 181).collect();
+    for retire in [None, Some(0.2)] {
+        let _warm = batch.tvd_series_block(&sources, 10, retire);
+        let (short, at_10) = allocations(|| batch.tvd_series_block(&sources, 10, retire));
+        let (long, at_400) = allocations(|| batch.tvd_series_block(&sources, 400, retire));
+        if retire.is_some() {
+            // the retirement path ran: some column crossed early
+            assert!(
+                short.iter().any(|s| s[9] < 0.2),
+                "nothing retired by t = 10"
+            );
+        }
+        assert_eq!((short.len(), long[0].len()), (16, 400));
+        assert_eq!(
+            at_10, at_400,
+            "retire {retire:?}: {at_10} allocations at t_max 10, {at_400} at 400"
+        );
+        // the outer vector, one series per source, the active index
+        assert!(
+            at_400 <= sources.len() + 2,
+            "retire {retire:?}: {at_400} allocations for {} sources",
+            sources.len()
+        );
+        // a probe's last, narrower block reuses the full blocks' buffers
+        let (_, narrow) = allocations(|| batch.tvd_series_block(&sources[..10], 400, retire));
+        assert!(
+            narrow <= 10 + 2,
+            "retire {retire:?}: {narrow} allocations for 10 sources"
+        );
+    }
 }
