@@ -22,7 +22,8 @@ pub fn ensure_connected<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Graph {
         return g.clone();
     }
     let big = comps.largest();
-    let big_members = comps.members(big);
+    let members = comps.member_lists();
+    let big_members = members.of(big);
     let mut b = GraphBuilder::with_capacity(g.num_edges() + comps.count());
     b.grow_to(g.num_nodes());
     for (u, v) in g.edges() {
@@ -32,8 +33,8 @@ pub fn ensure_connected<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Graph {
         if c == big {
             continue;
         }
-        let members = comps.members(c);
-        let from = members[rng.random_range(0..members.len())];
+        let small = members.of(c);
+        let from = small[rng.random_range(0..small.len())];
         let to = big_members[rng.random_range(0..big_members.len())];
         b.add_edge(from, to);
     }
@@ -53,10 +54,9 @@ pub fn ensure_connected_chain<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Graph 
     for (u, v) in g.edges() {
         b.add_edge(u, v);
     }
-    let k = comps.count() as u32;
-    for c in 1..k {
-        let prev = comps.members(c - 1);
-        let cur = comps.members(c);
+    let members = comps.member_lists();
+    for c in 1..comps.count() as u32 {
+        let (prev, cur) = (members.of(c - 1), members.of(c));
         let from = prev[rng.random_range(0..prev.len())];
         let to = cur[rng.random_range(0..cur.len())];
         b.add_edge(from, to);
@@ -117,6 +117,89 @@ mod tests {
         let fixed = ensure_connected(&g, &mut rng);
         assert!(is_connected(&fixed));
         assert!(fixed.min_degree() >= 1);
+    }
+
+    /// A sparse random graph on 4,000 ids with thousands of components,
+    /// many of them isolated nodes.
+    fn many_components(seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = 4_000u32;
+        let mut b = GraphBuilder::new();
+        b.grow_to(n as usize);
+        for _ in 0..1_500 + 200 * seed {
+            b.add_edge(rng.random_range(0..n), rng.random_range(0..n));
+        }
+        b.build()
+    }
+
+    /// [`ensure_connected`] as it read with one `members` scan per
+    /// component.
+    fn ensure_connected_by_scan<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Graph {
+        let comps = connected_components(g);
+        if comps.count() <= 1 {
+            return g.clone();
+        }
+        let big = comps.largest();
+        let big_members = comps.members(big);
+        let mut b = GraphBuilder::with_capacity(g.num_edges() + comps.count());
+        b.grow_to(g.num_nodes());
+        for (u, v) in g.edges() {
+            b.add_edge(u, v);
+        }
+        for c in 0..comps.count() as u32 {
+            if c == big {
+                continue;
+            }
+            let members = comps.members(c);
+            let from = members[rng.random_range(0..members.len())];
+            let to = big_members[rng.random_range(0..big_members.len())];
+            b.add_edge(from, to);
+        }
+        b.build()
+    }
+
+    /// [`ensure_connected_chain`] as it read with one `members` scan
+    /// per component.
+    fn ensure_connected_chain_by_scan<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Graph {
+        let comps = connected_components(g);
+        if comps.count() <= 1 {
+            return g.clone();
+        }
+        let mut b = GraphBuilder::with_capacity(g.num_edges() + comps.count());
+        b.grow_to(g.num_nodes());
+        for (u, v) in g.edges() {
+            b.add_edge(u, v);
+        }
+        for c in 1..comps.count() as u32 {
+            let prev = comps.members(c - 1);
+            let cur = comps.members(c);
+            let from = prev[rng.random_range(0..prev.len())];
+            let to = cur[rng.random_range(0..cur.len())];
+            b.add_edge(from, to);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn repairs_match_the_per_component_scan() {
+        for seed in 0..4 {
+            let g = many_components(seed);
+            let comps = connected_components(&g);
+            assert!(comps.count() > 1_000, "seed {seed}: {}", comps.count());
+            assert!(comps.sizes.contains(&1), "seed {seed}: no isolated node");
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let hub = ensure_connected(&g, &mut a);
+            assert_eq!(hub, ensure_connected_by_scan(&g, &mut b), "seed {seed}");
+            let chain = ensure_connected_chain(&g, &mut a);
+            assert_eq!(
+                chain,
+                ensure_connected_chain_by_scan(&g, &mut b),
+                "seed {seed}"
+            );
+            // both sides drew the same numbers
+            assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}");
+            assert!(is_connected(&hub) && is_connected(&chain));
+        }
     }
 
     #[test]

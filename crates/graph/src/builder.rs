@@ -92,40 +92,52 @@ impl GraphBuilder {
 
     /// Freezes into a canonical [`Graph`] (sorted, deduplicated,
     /// symmetric CSR). Consumes the builder.
-    pub fn build(mut self) -> Graph {
-        // Sort-dedup the canonicalized (min,max) pairs, then do a
-        // counting-sort style CSR fill. O(m log m + n + m).
-        self.edges.sort_unstable();
-        self.edges.dedup();
-
+    ///
+    /// Counting-sorts every staged pair into both endpoints' lists,
+    /// then sorts and dedups each list: O(n + s) plus the sum of
+    /// `d log d` over the lists, for `s` staged pairs and staged
+    /// degrees `d`. Duplicates are dropped per list, so the targets
+    /// array keeps the capacity of all `2s` staged entries.
+    pub fn build(self) -> Graph {
         let n = self.n;
-        let mut deg = vec![0usize; n];
+        // offsets[v] = staged degree of v, then its list's end
+        let mut offsets = vec![0usize; n + 1];
         for &(u, v) in &self.edges {
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
+            offsets[u as usize] += 1;
+            offsets[v as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
         let mut acc = 0usize;
-        for d in &deg {
-            acc += d;
-            offsets.push(acc);
+        for o in &mut offsets {
+            acc += *o;
+            *o = acc;
         }
-        let mut cursor = offsets.clone();
+        // Fill each list from its end, taking the pairs in reverse, so
+        // lists come out in staging order and offsets[v] ends at v's
+        // start.
         let mut targets = vec![0 as NodeId; acc];
-        for &(u, v) in &self.edges {
-            targets[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            targets[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
+        for &(u, v) in self.edges.iter().rev() {
+            offsets[u as usize] -= 1;
+            targets[offsets[u as usize]] = v;
+            offsets[v as usize] -= 1;
+            targets[offsets[v as usize]] = u;
         }
-        // Each list was filled in ascending order of the *other*
-        // endpoint only for the (u,v) with u<v half; the reverse half
-        // interleaves, so sort each list. Lists are typically short;
-        // sort_unstable on slices is fine and keeps the code obvious.
+        // Sort each list and compact it, without its duplicates, down
+        // to where the previous deduplicated list ended.
+        let mut kept = 0usize;
         for v in 0..n {
-            targets[offsets[v]..offsets[v + 1]].sort_unstable();
+            let (lo, hi) = (offsets[v], offsets[v + 1]);
+            targets[lo..hi].sort_unstable();
+            offsets[v] = kept;
+            for i in lo..hi {
+                let t = targets[i];
+                if kept == offsets[v] || targets[kept - 1] != t {
+                    targets[kept] = t;
+                    kept += 1;
+                }
+            }
         }
+        offsets[n] = kept;
+        targets.truncate(kept);
         Graph::from_csr(offsets, targets)
     }
 }
@@ -212,6 +224,63 @@ mod tests {
         let g = GraphBuilder::new().build();
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.num_edges(), 0);
+    }
+
+    /// The CSR arrays of `pairs` on `0..n` by a global sort and dedup
+    /// of the canonical pairs, then one sorted list per node.
+    fn sort_dedup_reference(n: usize, pairs: &[(NodeId, NodeId)]) -> (Vec<usize>, Vec<NodeId>) {
+        let mut canon: Vec<_> = pairs
+            .iter()
+            .filter(|(u, v)| u != v)
+            .map(|&(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        canon.sort_unstable();
+        canon.dedup();
+        let mut adj = vec![Vec::new(); n];
+        for (u, v) in canon {
+            adj[u as usize].push(v);
+            adj[v as usize].push(u);
+        }
+        let mut offsets = vec![0usize];
+        let mut targets = Vec::new();
+        for mut list in adj {
+            list.sort_unstable();
+            targets.extend(list);
+            offsets.push(targets.len());
+        }
+        (offsets, targets)
+    }
+
+    #[test]
+    fn build_matches_sort_dedup_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // few ids and many pairs: duplicates, both orientations and
+            // self-loops are common
+            let ids = rng.random_range(1..60u32);
+            let pairs: Vec<(NodeId, NodeId)> = (0..rng.random_range(0..400))
+                .map(|_| (rng.random_range(0..ids), rng.random_range(0..ids)))
+                .collect();
+            let mut b = GraphBuilder::from_edges(pairs.iter().copied());
+            // reserve isolated ids past the largest seen on some seeds
+            let reserved = if seed % 3 == 0 { ids as usize + 7 } else { 0 };
+            b.grow_to(reserved);
+            let n = b.num_nodes();
+            assert!(n >= reserved);
+            let g = b.build();
+            let (offsets, targets) = sort_dedup_reference(n, &pairs);
+            assert_eq!(g.offsets(), offsets.as_slice(), "seed {seed}");
+            assert_eq!(g.raw_targets(), targets.as_slice(), "seed {seed}");
+        }
+        for n in [0, 5] {
+            let mut b = GraphBuilder::new();
+            b.grow_to(n);
+            let g = b.build();
+            assert_eq!(g.offsets(), vec![0; n + 1].as_slice());
+            assert!(g.raw_targets().is_empty());
+        }
     }
 
     #[test]

@@ -35,7 +35,8 @@ impl Components {
             .unwrap_or(0)
     }
 
-    /// Nodes belonging to component `c`, ascending.
+    /// Nodes belonging to component `c`, ascending. One O(n) scan per
+    /// call: to visit every component, use [`Components::member_lists`].
     pub fn members(&self, c: u32) -> Vec<NodeId> {
         self.label
             .iter()
@@ -43,6 +44,42 @@ impl Components {
             .filter(|(_, &l)| l == c)
             .map(|(v, _)| v as NodeId)
             .collect()
+    }
+
+    /// Every component's ascending member list, grouped by one
+    /// counting-sort pass over the labels: O(n + count) in all.
+    pub fn member_lists(&self) -> MemberLists {
+        let mut offsets = Vec::with_capacity(self.count() + 1);
+        offsets.push(0usize);
+        let mut acc = 0usize;
+        for &s in &self.sizes {
+            acc += s;
+            offsets.push(acc);
+        }
+        let mut cursor = offsets[..self.count()].to_vec();
+        let mut nodes = vec![0 as NodeId; acc];
+        for (v, &c) in self.label.iter().enumerate() {
+            nodes[cursor[c as usize]] = v as NodeId;
+            cursor[c as usize] += 1;
+        }
+        MemberLists { offsets, nodes }
+    }
+}
+
+/// All components' member lists in one flat array, from
+/// [`Components::member_lists`].
+#[derive(Debug, Clone)]
+pub struct MemberLists {
+    /// `offsets[c]..offsets[c + 1]` indexes `nodes` for component `c`.
+    offsets: Vec<usize>,
+    /// Members grouped by label, ascending within each group.
+    nodes: Vec<NodeId>,
+}
+
+impl MemberLists {
+    /// Nodes belonging to component `c`, ascending.
+    pub fn of(&self, c: u32) -> &[NodeId] {
+        &self.nodes[self.offsets[c as usize]..self.offsets[c as usize + 1]]
     }
 }
 
@@ -130,6 +167,31 @@ mod tests {
         let c = connected_components(&two_components());
         assert_eq!(c.largest(), 0);
         assert_eq!(c.members(0), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn member_lists_match_members_for_every_label() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Sparse random graphs over 3,000 ids: thousands of components,
+        // isolated nodes among them, labels interleaved across ids.
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 3_000u32;
+            let mut b = GraphBuilder::new();
+            b.grow_to(n as usize);
+            for _ in 0..(seed as usize * 400) {
+                b.add_edge(rng.random_range(0..n), rng.random_range(0..n));
+            }
+            let c = connected_components(&b.build());
+            let lists = c.member_lists();
+            assert!(c.count() > 1_000, "seed {seed}: {} components", c.count());
+            for l in 0..c.count() as u32 {
+                assert_eq!(lists.of(l), c.members(l).as_slice(), "label {l}");
+            }
+        }
+        let none = connected_components(&Graph::empty(0)).member_lists();
+        assert_eq!(none.nodes.len(), 0);
     }
 
     #[test]
