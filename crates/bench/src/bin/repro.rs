@@ -5,7 +5,7 @@
 //! ```text
 //! repro [--scale S] [--seed N] [--sources K] [--tmax T] [--metrics PATH]
 //!       [--trace PATH] [--cache-dir D | --no-cache] [--out-dir D]
-//!       [--resume | --fresh] [--stage-jobs N] [--quiet] <command>
+//!       [--resume | --fresh] [--quiet] <command>
 //!
 //! commands:
 //!   table1        dataset properties and second largest eigenvalues
@@ -34,11 +34,11 @@
 //! The harness is a cached, resumable, stage-parallel pipeline:
 //! generated graphs are cached under `--cache-dir` (`results/cache`)
 //! keyed by (dataset, scale, seed, generator version); `repro all`
-//! overlaps independent stages via `--stage-jobs`; each completed
-//! stage writes its output and a stamp under `--out-dir`
-//! (`results/stages`), so an interrupted run continues with
-//! `--resume`. Stage outputs and stdout stage text are byte-identical
-//! to a serial (`--stage-jobs 1`) run.
+//! runs up to `SOCMIX_THREADS` (at most 4) of its independent stages
+//! at once; each completed stage writes its output and a stamp under
+//! `--out-dir` (`results/stages`), so an interrupted run continues
+//! with `--resume`. Stage outputs and stdout stage text are
+//! byte-identical to a serial (`SOCMIX_THREADS=1`) run.
 
 use socmix_bench::output::fmt_f64;
 use socmix_bench::pipeline::{run_pipeline, stage_config_hash, PipelineOptions, StageDef};
@@ -52,7 +52,6 @@ use socmix_markov::dist::{edge_uniformity_tvd, separation_distance};
 use socmix_markov::Evolver;
 use socmix_sybil::experiment::{admission_experiment, sybil_yield_experiment};
 use socmix_sybil::{attach_sybil_region, AttackParams, SybilTopology};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -112,8 +111,9 @@ struct Ctx<'a> {
 impl Ctx<'_> {
     /// Generates (or cache-loads) a catalog dataset at an explicit
     /// scale. Every stage's base-graph generation funnels through
-    /// here so each `(dataset, scale, seed)` is built at most once
-    /// per cache lifetime.
+    /// here, so a `(dataset, scale, seed)` is built once per cache
+    /// lifetime, or once by each stage that misses it at the same
+    /// time.
     fn gen_at(&self, ds: Dataset, scale: f64) -> Graph {
         match self.cache {
             Some(cache) => cache.load_or_generate(ds, scale, self.cfg.seed),
@@ -134,99 +134,6 @@ fn default_scale(ds: Dataset, cfg: &RunConfig) -> f64 {
         Dataset::Physics1 | Dataset::Physics2 | Dataset::Physics3 => cfg.physics_scale(),
         _ => cfg.scale,
     }
-}
-
-/// The `(dataset, scale)` artifacts a stage generates through the
-/// cache. Drives dependency planning: when two stages share an
-/// artifact that is not yet on disk, the later stage waits for the
-/// earlier one so the graph is generated once and loaded once —
-/// instead of twice concurrently. (Getting this list wrong can only
-/// cost duplicate generation, never correctness: cache writes are
-/// atomic and every stage falls back to generating on a miss.)
-fn stage_artifacts(name: &str, cfg: &RunConfig) -> Vec<(Dataset, f64)> {
-    let at = |ds: Dataset| (ds, default_scale(ds, cfg));
-    let raw = |ds: Dataset| (ds, cfg.scale);
-    match name {
-        "table1" => Dataset::all().iter().map(|&ds| at(ds)).collect(),
-        "fig1" => Dataset::small_set().iter().map(|&ds| at(ds)).collect(),
-        "fig2" => Dataset::large_set().iter().map(|&ds| at(ds)).collect(),
-        "fig3" | "fig4" | "fig5" => [Dataset::Physics1, Dataset::Physics2, Dataset::Physics3]
-            .iter()
-            .map(|&ds| at(ds))
-            .collect(),
-        "fig6" => vec![raw(Dataset::Dblp)],
-        "fig7" => vec![
-            raw(Dataset::FacebookA),
-            raw(Dataset::FacebookB),
-            raw(Dataset::LivejournalA),
-            raw(Dataset::LivejournalB),
-        ],
-        "fig8" => vec![
-            at(Dataset::Physics1),
-            at(Dataset::Physics2),
-            at(Dataset::Physics3),
-            raw(Dataset::FacebookA),
-            raw(Dataset::Slashdot1),
-        ],
-        "sybil-attack" => vec![raw(Dataset::Facebook)],
-        "whanau" => vec![at(Dataset::Physics1), at(Dataset::WikiVote)],
-        "average" => vec![
-            at(Dataset::WikiVote),
-            at(Dataset::Physics1),
-            at(Dataset::Enron),
-            at(Dataset::Youtube),
-        ],
-        "ncp" => vec![
-            at(Dataset::WikiVote),
-            at(Dataset::Physics1),
-            at(Dataset::Dblp),
-            at(Dataset::LivejournalA),
-        ],
-        "defenses" => vec![
-            raw(Dataset::Facebook),
-            (Dataset::Physics3, (cfg.scale * 2.0).min(1.0)),
-        ],
-        "sampler-bias" => vec![raw(Dataset::LivejournalA), raw(Dataset::FacebookA)],
-        "null-model" => vec![
-            raw(Dataset::WikiVote),
-            at(Dataset::Physics1),
-            raw(Dataset::Enron),
-            (Dataset::LivejournalA, (cfg.scale / 2.5).max(0.005)),
-        ],
-        _ => Vec::new(),
-    }
-}
-
-/// Dependency edges for the selected stages: stage *i* depends on the
-/// first selected stage that generates an artifact *i* also needs,
-/// unless that artifact is already cached on disk (then both just
-/// load it). With the cache disabled there is nothing to share and
-/// every stage is independent.
-fn plan_deps(names: &[&str], cfg: &RunConfig, cache: Option<&GraphCache>) -> Vec<Vec<usize>> {
-    let mut first_user: HashMap<u64, usize> = HashMap::new();
-    let mut deps: Vec<Vec<usize>> = Vec::with_capacity(names.len());
-    for (i, name) in names.iter().enumerate() {
-        let mut d = Vec::new();
-        for (ds, scale) in stage_artifacts(name, cfg) {
-            let key = GraphCache::key(ds, scale, cfg.seed);
-            match first_user.get(&key) {
-                Some(&owner) => {
-                    if let Some(cache) = cache {
-                        if !cache.contains(ds, scale, cfg.seed) {
-                            d.push(owner);
-                        }
-                    }
-                }
-                None => {
-                    first_user.insert(key, i);
-                }
-            }
-        }
-        d.sort_unstable();
-        d.dedup();
-        deps.push(d);
-    }
-    deps
 }
 
 /// Runs one subcommand into `out`; `false` for an unknown name.
@@ -295,13 +202,10 @@ fn main() {
         cfg: &cfg,
         cache: cache.as_ref(),
     };
-    let deps = plan_deps(&stage_names, &cfg, cache.as_ref());
     let stages: Vec<StageDef<'_>> = stage_names
         .iter()
-        .zip(deps)
-        .map(|(&name, deps)| StageDef {
+        .map(|&name| StageDef {
             name: name.to_string(),
-            deps,
             config_hash: stage_config_hash(&cfg, name),
             run: Box::new(move |out: &mut String| {
                 dispatch(name, &ctx, out);
@@ -309,7 +213,7 @@ fn main() {
         })
         .collect();
     let opts = PipelineOptions {
-        jobs: if cmd == "all" { cfg.stage_jobs() } else { 1 },
+        jobs: RunConfig::stage_jobs(),
         out_dir: Some(std::path::PathBuf::from(&cfg.out_dir)),
         resume: cfg.resume,
         fresh: cfg.fresh,
@@ -376,7 +280,7 @@ fn usage() {
     eprintln!(
         "usage: repro [--scale S] [--seed N] [--sources K] [--tmax T] [--metrics PATH]\n\
          \x20            [--trace PATH] [--cache-dir D | --no-cache] [--out-dir D]\n\
-         \x20            [--resume | --fresh] [--stage-jobs N] [--quiet] <command>\n\
+         \x20            [--resume | --fresh] [--quiet] <command>\n\
          commands: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 sybil-attack whanau average ncp defenses sampler-bias null-model all"
     );
 }

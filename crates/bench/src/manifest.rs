@@ -78,7 +78,10 @@ pub fn run_manifest(
                 ("t_max".into(), Value::Int(cfg.t_max as i64)),
                 ("resume".into(), Value::Bool(cfg.resume)),
                 ("fresh".into(), Value::Bool(cfg.fresh)),
-                ("stage_jobs".into(), Value::Int(cfg.stage_jobs() as i64)),
+                (
+                    "stage_jobs".into(),
+                    Value::Int(RunConfig::stage_jobs() as i64),
+                ),
             ]),
         ),
         (

@@ -1,14 +1,15 @@
 //! The cached, resumable, stage-parallel repro pipeline.
 //!
 //! `repro all` is a sequence of independent stages (one per paper
-//! figure/table). This module runs them through the dependency-aware
-//! DAG scheduler in `socmix-par` with three guarantees:
+//! figure/table). This module runs them on up to
+//! [`PipelineOptions::jobs`] scoped threads, each taking the next
+//! stage in canonical order, with three guarantees:
 //!
 //! - **Byte-identical output** — every stage renders into its own
 //!   buffer; buffers are flushed to the caller's sink strictly in
 //!   canonical stage order (stage *k* prints only after every stage
 //!   *< k*), so a stage-parallel run's stdout is byte-for-byte the
-//!   same as a serial (`--stage-jobs 1`) run's.
+//!   same as a serial (`SOCMIX_THREADS=1`) run's.
 //! - **Checkpointing** — each completed stage writes its output to
 //!   `<out_dir>/<stage>.txt` and drops a stamp
 //!   (`<out_dir>/<stage>.stamp.json`: stage name, config hash, output
@@ -20,12 +21,20 @@
 //!   a different scale/seed/sources/tmax (or generator version) never
 //!   matches — the config hash covers them all.
 //!
+//! Stages must not depend on one another: any two may run at once and
+//! finish in either order. `repro`'s stages share only the graph
+//! cache, whose writes are temp-file-then-rename, so two stages that
+//! need one missing graph may both generate it and neither sees a
+//! half-written entry.
+//!
 //! The module is deliberately independent of what a "stage" computes:
 //! stages are named closures writing to a `String`. That keeps the
-//! scheduler, stamping, and replay logic testable without generating a
-//! single graph.
+//! scheduling, stamping, and replay logic testable without generating
+//! a single graph.
 
 use socmix_obs::{Counter, Value};
+use std::any::Any;
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -33,15 +42,12 @@ use std::time::Instant;
 static STAGES_RUN: Counter = Counter::new("bench.pipeline.stages_run");
 static STAGES_RESUMED: Counter = Counter::new("bench.pipeline.stages_resumed");
 
-/// One schedulable stage: a name, dependency indices into the stage
-/// list, and a body rendering the stage's stdout into a buffer.
+/// One schedulable stage: a name and a body rendering the stage's
+/// stdout into a buffer.
 pub struct StageDef<'a> {
     /// Canonical stage name (`table1`, `fig5`, ...); also the output
     /// and stamp file stem.
     pub name: String,
-    /// Indices of stages that must complete first. Dependencies only
-    /// affect scheduling, never output order.
-    pub deps: Vec<usize>,
     /// Hash of everything the stage's output depends on; stamps with a
     /// different hash never satisfy `--resume`.
     pub config_hash: u64,
@@ -53,7 +59,7 @@ pub struct StageDef<'a> {
 /// How [`run_pipeline`] should schedule, stamp, and resume.
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
-    /// Maximum stages in flight (1 = serial).
+    /// Maximum stages in flight (1 = serial, on the calling thread).
     pub jobs: usize,
     /// Directory for per-stage outputs and stamps; `None` disables
     /// checkpointing (no files, no resume).
@@ -153,7 +159,8 @@ struct Slot {
     outcome: Option<StageOutcome>,
 }
 
-/// Runs the stages through the DAG scheduler.
+/// Runs the stages on `min(jobs, stages)` threads, the caller among
+/// them, each taking the next unstarted stage in stage order.
 ///
 /// `sink` receives each stage's full output, called strictly in stage
 /// order (never concurrently). `note` receives human progress lines
@@ -162,6 +169,12 @@ struct Slot {
 /// Stamps and output files are written as stages finish; on `resume`,
 /// matching stages are replayed without running. Returns one
 /// [`StageOutcome`] per stage, in stage order.
+///
+/// # Panics
+///
+/// If a stage panics, no further stage starts, stages already in
+/// flight finish, and the first panic payload is re-raised on the
+/// caller.
 pub fn run_pipeline(
     stages: &[StageDef<'_>],
     opts: &PipelineOptions,
@@ -175,8 +188,7 @@ pub fn run_pipeline(
             }
         }
     }
-    // Resolve resumable stages up front (cheap, and it lets the DAG
-    // treat them as instantly-complete dependencies).
+    // Resolve resumable stages up front (cheap: a stamp read each).
     let replay: Vec<Option<String>> = stages
         .iter()
         .map(|s| {
@@ -201,8 +213,11 @@ pub fn run_pipeline(
         .collect();
     // Ordered flush state: index of the next stage to hand to `sink`.
     let flush = Mutex::new(0usize);
+    // Index of the next stage to start; a panicking stage moves it to
+    // the end so that no stage starts after it.
+    let next_start = Mutex::new(0usize);
+    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
 
-    let deps: Vec<Vec<usize>> = stages.iter().map(|s| s.deps.clone()).collect();
     let run_one = |i: usize| {
         let stage = &stages[i];
         let (text, outcome) = if let Some(saved) = &replay[i] {
@@ -257,8 +272,8 @@ pub fn run_pipeline(
             slot.outcome = Some(outcome);
         }
         // Flush every stage whose predecessors (in stage order, not
-        // DAG order) have all been flushed. Holding the flush lock
-        // serializes sink calls.
+        // completion order) have all been flushed. Holding the flush
+        // lock serializes sink calls.
         let mut next = flush.lock().unwrap_or_else(|e| e.into_inner());
         while *next < stages.len() {
             let mut slot = slots[*next].lock().unwrap_or_else(|e| e.into_inner());
@@ -271,7 +286,37 @@ pub fn run_pipeline(
             }
         }
     };
-    socmix_par::run_dag(&deps, opts.jobs, run_one).expect("stage dependency graph is valid");
+    let worker = || loop {
+        let i = {
+            let mut next = next_start.lock().unwrap_or_else(|e| e.into_inner());
+            if *next >= stages.len() {
+                return;
+            }
+            *next += 1;
+            *next - 1
+        };
+        if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| run_one(i))) {
+            *next_start.lock().unwrap_or_else(|e| e.into_inner()) = stages.len();
+            first_panic
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .get_or_insert(payload);
+            return;
+        }
+    };
+    // Stages run on scoped threads, not the chunk-pool workers: a
+    // stage blocks on I/O and dispatches its own pool jobs, and
+    // parking a pool worker under it would starve that inner
+    // parallelism.
+    std::thread::scope(|scope| {
+        for _ in 1..opts.jobs.min(stages.len()) {
+            scope.spawn(worker);
+        }
+        worker();
+    });
+    if let Some(payload) = first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        std::panic::resume_unwind(payload);
+    }
 
     slots
         .into_iter()
@@ -308,7 +353,7 @@ pub fn stage_config_hash(cfg: &crate::RunConfig, stage: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("socmix-pipeline-{tag}-{}", std::process::id()));
@@ -317,15 +362,10 @@ mod tests {
     }
 
     /// Builds N trivial stages; each records how often it ran.
-    fn counting_stages<'a>(
-        n: usize,
-        runs: &'a [AtomicUsize],
-        deps: impl Fn(usize) -> Vec<usize>,
-    ) -> Vec<StageDef<'a>> {
+    fn counting_stages(n: usize, runs: &[AtomicUsize]) -> Vec<StageDef<'_>> {
         (0..n)
             .map(|i| StageDef {
                 name: format!("stage{i}"),
-                deps: deps(i),
                 config_hash: 1000 + i as u64,
                 run: Box::new(move |out: &mut String| {
                     runs[i].fetch_add(1, Ordering::SeqCst);
@@ -347,7 +387,7 @@ mod tests {
     #[test]
     fn serial_and_parallel_output_is_byte_identical() {
         let runs: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
-        let stages = counting_stages(8, &runs, |_| vec![]);
+        let stages = counting_stages(8, &runs);
         let serial = collect_output(
             &stages,
             &PipelineOptions {
@@ -380,7 +420,7 @@ mod tests {
     fn stamps_are_written_and_resume_skips() {
         let dir = temp_dir("resume");
         let runs: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-        let stages = counting_stages(3, &runs, |_| vec![]);
+        let stages = counting_stages(3, &runs);
         let opts = PipelineOptions {
             jobs: 2,
             out_dir: Some(dir.clone()),
@@ -411,7 +451,7 @@ mod tests {
     fn resume_ignores_stale_config_hash() {
         let dir = temp_dir("stale");
         let runs: Vec<AtomicUsize> = (0..1).map(|_| AtomicUsize::new(0)).collect();
-        let stages = counting_stages(1, &runs, |_| vec![]);
+        let stages = counting_stages(1, &runs);
         let opts = PipelineOptions {
             jobs: 1,
             out_dir: Some(dir.clone()),
@@ -422,7 +462,6 @@ mod tests {
         // same name, different config hash: stamp must not match
         let changed: Vec<StageDef> = vec![StageDef {
             name: "stage0".into(),
-            deps: vec![],
             config_hash: 999,
             run: Box::new(|out| {
                 out.push_str("new output\n");
@@ -444,7 +483,7 @@ mod tests {
     fn fresh_deletes_stamps_and_reruns() {
         let dir = temp_dir("fresh");
         let runs: Vec<AtomicUsize> = (0..2).map(|_| AtomicUsize::new(0)).collect();
-        let stages = counting_stages(2, &runs, |_| vec![]);
+        let stages = counting_stages(2, &runs);
         let base = PipelineOptions {
             jobs: 1,
             out_dir: Some(dir.clone()),
@@ -469,7 +508,7 @@ mod tests {
     fn corrupt_stamp_falls_back_to_running() {
         let dir = temp_dir("corrupt-stamp");
         let runs: Vec<AtomicUsize> = (0..1).map(|_| AtomicUsize::new(0)).collect();
-        let stages = counting_stages(1, &runs, |_| vec![]);
+        let stages = counting_stages(1, &runs);
         let opts = PipelineOptions {
             jobs: 1,
             out_dir: Some(dir.clone()),
@@ -494,7 +533,7 @@ mod tests {
     fn missing_output_file_invalidates_stamp() {
         let dir = temp_dir("missing-output");
         let runs: Vec<AtomicUsize> = (0..1).map(|_| AtomicUsize::new(0)).collect();
-        let stages = counting_stages(1, &runs, |_| vec![]);
+        let stages = counting_stages(1, &runs);
         let opts = PipelineOptions {
             jobs: 1,
             out_dir: Some(dir.clone()),
@@ -514,26 +553,94 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn dependencies_gate_scheduling_not_output_order() {
-        // stage 0 depends on stage 2: output must still print 0,1,2
-        let runs: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-        let stages = counting_stages(3, &runs, |i| if i == 0 { vec![2] } else { vec![] });
-        for jobs in [1, 3] {
-            let (text, _) = collect_output(
-                &stages,
-                &PipelineOptions {
-                    jobs,
-                    out_dir: None,
-                    resume: false,
-                    fresh: false,
-                },
-            );
-            assert_eq!(
-                text,
-                "output of stage 0\noutput of stage 1\noutput of stage 2\n"
-            );
+    /// Spins until `flag` is set, failing the test after 10 s.
+    fn wait_for(flag: &AtomicBool, what: &str) {
+        let t0 = std::time::Instant::now();
+        while !flag.load(Ordering::SeqCst) {
+            assert!(t0.elapsed().as_secs() < 10, "{what} never happened");
+            std::thread::yield_now();
         }
+    }
+
+    #[test]
+    fn output_order_ignores_completion_order() {
+        // stage 0 finishes only after stage 2 has: output must still
+        // print 0, 1, 2
+        let done2 = AtomicBool::new(false);
+        let line = |i: usize| format!("output of stage {i}\n");
+        let stages: Vec<StageDef> = (0..3)
+            .map(|i| StageDef {
+                name: format!("stage{i}"),
+                config_hash: i as u64,
+                run: Box::new({
+                    let done2 = &done2;
+                    move |out: &mut String| {
+                        if i == 0 {
+                            wait_for(done2, "stage 2 finishing");
+                        }
+                        out.push_str(&line(i));
+                        if i == 2 {
+                            done2.store(true, Ordering::SeqCst);
+                        }
+                    }
+                }),
+            })
+            .collect();
+        let (text, _) = collect_output(
+            &stages,
+            &PipelineOptions {
+                jobs: 3,
+                out_dir: None,
+                resume: false,
+                fresh: false,
+            },
+        );
+        assert_eq!(text, format!("{}{}{}", line(0), line(1), line(2)));
+    }
+
+    #[test]
+    fn panicking_stage_reaches_the_caller_and_stops_later_stages() {
+        // stage 0 panics while stage 1 is in flight on the other
+        // thread; stage 1 then waits a while for any later stage to
+        // start, which a correct pipeline never lets happen
+        let started1 = AtomicBool::new(false);
+        let later_ran = AtomicUsize::new(0);
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let rx = Mutex::new(rx);
+        let stages: Vec<StageDef> = (0..4)
+            .map(|i| StageDef {
+                name: format!("stage{i}"),
+                config_hash: i as u64,
+                run: Box::new({
+                    let (started1, later_ran, tx, rx) = (&started1, &later_ran, tx.clone(), &rx);
+                    move |_: &mut String| match i {
+                        0 => {
+                            wait_for(started1, "stage 1 starting");
+                            panic!("stage 0 failed");
+                        }
+                        1 => {
+                            started1.store(true, Ordering::SeqCst);
+                            let wait = std::time::Duration::from_millis(300);
+                            let _ = rx.lock().unwrap().recv_timeout(wait);
+                        }
+                        _ => {
+                            later_ran.fetch_add(1, Ordering::SeqCst);
+                            let _ = tx.send(());
+                        }
+                    }
+                }),
+            })
+            .collect();
+        let opts = PipelineOptions {
+            jobs: 2,
+            out_dir: None,
+            resume: false,
+            fresh: false,
+        };
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| collect_output(&stages, &opts)));
+        let payload = caught.expect_err("the stage's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"stage 0 failed"));
+        assert_eq!(later_ran.load(Ordering::SeqCst), 0, "a later stage started");
     }
 
     #[test]
@@ -542,7 +649,7 @@ mod tests {
         // a full run — stage0 replays, stage1 executes
         let dir = temp_dir("partial");
         let runs: Vec<AtomicUsize> = (0..2).map(|_| AtomicUsize::new(0)).collect();
-        let all = counting_stages(2, &runs, |_| vec![]);
+        let all = counting_stages(2, &runs);
         let first_only = &all[..1];
         let opts = PipelineOptions {
             jobs: 1,
@@ -628,7 +735,6 @@ mod tests {
             h(
                 &crate::RunConfig {
                     quiet: true,
-                    stage_jobs: Some(2),
                     metrics: Some("/tmp/m.json".into()),
                     ..base.clone()
                 },

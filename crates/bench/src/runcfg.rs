@@ -36,9 +36,6 @@ pub struct RunConfig {
     /// `--fresh`: delete existing stamps for the selected stages
     /// before running (guaranteed clean run).
     pub fresh: bool,
-    /// `--stage-jobs N`: maximum stages in flight. `None` = auto
-    /// (see [`RunConfig::stage_jobs`]).
-    pub stage_jobs: Option<usize>,
 }
 
 impl Default for RunConfig {
@@ -55,7 +52,6 @@ impl Default for RunConfig {
             out_dir: "results/stages".to_string(),
             resume: false,
             fresh: false,
-            stage_jobs: None,
         }
     }
 }
@@ -63,8 +59,8 @@ impl Default for RunConfig {
 impl RunConfig {
     /// Parses `--scale X --seed N --sources K --tmax T --metrics P
     /// --trace P --quiet --cache-dir D --no-cache --out-dir D
-    /// --resume --fresh --stage-jobs N` style flags, returning the
-    /// config and the remaining positional arguments.
+    /// --resume --fresh` style flags, returning the config and the
+    /// remaining positional arguments.
     ///
     /// Unknown flags produce an error string (the binary prints usage).
     pub fn parse(args: &[String]) -> Result<(Self, Vec<String>), String> {
@@ -88,13 +84,6 @@ impl RunConfig {
                 "--seed" => cfg.seed = take("--seed")? as u64,
                 "--sources" => cfg.sources = take("--sources")? as usize,
                 "--tmax" => cfg.t_max = take("--tmax")? as usize,
-                "--stage-jobs" => {
-                    let n = take("--stage-jobs")? as usize;
-                    if n < 1 {
-                        return Err("--stage-jobs must be at least 1".into());
-                    }
-                    cfg.stage_jobs = Some(n);
-                }
                 "--metrics" => {
                     let path = it.next().ok_or("--metrics needs a path")?;
                     if path.is_empty() {
@@ -146,12 +135,12 @@ impl RunConfig {
         (self.scale * 5.0).min(1.0)
     }
 
-    /// Resolved stage concurrency: the explicit `--stage-jobs` value,
-    /// else the pool width capped at 4 (stages are internally parallel
-    /// — wider stage fan-out would just oversubscribe the cores).
-    pub fn stage_jobs(&self) -> usize {
-        self.stage_jobs
-            .unwrap_or_else(|| socmix_par::num_threads().clamp(1, 4))
+    /// Stages `repro` runs at once: the pool width capped at 4
+    /// (stages are internally parallel — wider stage fan-out would
+    /// just oversubscribe the cores). `SOCMIX_THREADS=1` gives a
+    /// serial run.
+    pub fn stage_jobs() -> usize {
+        socmix_par::num_threads().clamp(1, 4)
     }
 }
 
@@ -209,8 +198,6 @@ mod tests {
             "--out-dir",
             "/tmp/stages",
             "--resume",
-            "--stage-jobs",
-            "3",
             "all",
         ]))
         .unwrap();
@@ -218,8 +205,6 @@ mod tests {
         assert_eq!(cfg.out_dir, "/tmp/stages");
         assert!(cfg.resume);
         assert!(!cfg.fresh);
-        assert_eq!(cfg.stage_jobs, Some(3));
-        assert_eq!(cfg.stage_jobs(), 3);
         assert_eq!(rest, vec!["all"]);
     }
 
@@ -235,15 +220,8 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_stage_jobs() {
-        assert!(RunConfig::parse(&strs(&["--stage-jobs", "0", "all"])).is_err());
-    }
-
-    #[test]
     fn stage_jobs_auto_is_bounded() {
-        let cfg = RunConfig::default();
-        let jobs = cfg.stage_jobs();
-        assert!((1..=4).contains(&jobs));
+        assert!((1..=4).contains(&RunConfig::stage_jobs()));
     }
 
     #[test]

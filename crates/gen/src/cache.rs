@@ -140,13 +140,6 @@ impl GraphCache {
         ))
     }
 
-    /// Whether a (possibly stale-format, but key-matching) entry
-    /// exists on disk. Used by the stage planner to predict which
-    /// stages will generate vs reload.
-    pub fn contains(&self, ds: Dataset, scale: f64, seed: u64) -> bool {
-        self.entry_path(ds, scale, seed).is_file()
-    }
-
     /// Loads `(dataset, scale, seed)` from the cache, generating (and
     /// storing) it on a miss. The returned graph is identical to
     /// `ds.generate(scale, seed)` either way.
@@ -243,13 +236,49 @@ mod tests {
         let direct = ds.generate(0.02, 11);
         let first = c.load_or_generate(ds, 0.02, 11);
         assert_eq!(first, direct);
-        assert!(c.contains(ds, 0.02, 11));
+        assert!(c.entry_path(ds, 0.02, 11).is_file());
         let second = c.load_or_generate(ds, 0.02, 11);
         assert_eq!(second, direct);
         let events = c.take_events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].outcome, CacheOutcome::Miss);
         assert_eq!(events[1].outcome, CacheOutcome::Hit);
+        let _ = std::fs::remove_dir_all(c.dir());
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_leave_one_entry() {
+        // four threads race on one key in an empty directory, as two
+        // repro stages needing the same missing graph do
+        let c = temp_cache("race");
+        let ds = Dataset::WikiVote;
+        let direct = ds.generate(0.02, 13);
+        let start = std::sync::Barrier::new(4);
+        let graphs: Vec<Graph> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        c.load_or_generate(ds, 0.02, 13)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(graphs.iter().all(|g| *g == direct));
+        let names: Vec<String> = std::fs::read_dir(c.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(
+            names.iter().filter(|n| n.ends_with(".socmixg")).count(),
+            1,
+            "{names:?}"
+        );
+        assert!(!names.iter().any(|n| n.contains("tmp.")), "{names:?}");
+        c.take_events();
+        assert_eq!(c.load_or_generate(ds, 0.02, 13), direct);
+        assert_eq!(c.take_events()[0].outcome, CacheOutcome::Hit);
         let _ = std::fs::remove_dir_all(c.dir());
     }
 

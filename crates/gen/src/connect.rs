@@ -12,14 +12,14 @@ use socmix_graph::{Graph, GraphBuilder};
 /// Returns a connected graph by adding one random edge from each
 /// non-largest component to a random node of the largest component.
 ///
-/// Adds exactly `num_components − 1` edges (0 if already connected),
-/// preserving every existing edge. Degree-1 attachment points are
-/// chosen uniformly, so the patch is spectrally negligible at catalog
-/// densities.
-pub fn ensure_connected<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Graph {
-    let comps = connected_components(g);
+/// Adds exactly `num_components − 1` edges (none if already connected:
+/// `g` comes back unchanged), preserving every existing edge. Degree-1
+/// attachment points are chosen uniformly, so the patch is spectrally
+/// negligible at catalog densities.
+pub fn ensure_connected<R: Rng + ?Sized>(g: Graph, rng: &mut R) -> Graph {
+    let comps = connected_components(&g);
     if comps.count() <= 1 {
-        return g.clone();
+        return g;
     }
     let big = comps.largest();
     let members = comps.member_lists();
@@ -44,10 +44,10 @@ pub fn ensure_connected<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Graph {
 /// Like [`ensure_connected`] but attaches components in a random
 /// chain (comp1→comp2→…), which produces a path-like macro structure
 /// instead of a hub-like one. Useful for worst-case mixing fixtures.
-pub fn ensure_connected_chain<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Graph {
-    let comps = connected_components(g);
+pub fn ensure_connected_chain<R: Rng + ?Sized>(g: Graph, rng: &mut R) -> Graph {
+    let comps = connected_components(&g);
     if comps.count() <= 1 {
-        return g.clone();
+        return g;
     }
     let mut b = GraphBuilder::with_capacity(g.num_edges() + comps.count());
     b.grow_to(g.num_nodes());
@@ -86,7 +86,7 @@ mod tests {
     fn patches_to_connected() {
         let g = three_triangles();
         let mut rng = StdRng::seed_from_u64(0);
-        let fixed = ensure_connected(&g, &mut rng);
+        let fixed = ensure_connected(g.clone(), &mut rng);
         assert!(is_connected(&fixed));
         assert_eq!(fixed.num_edges(), g.num_edges() + 2);
     }
@@ -95,14 +95,15 @@ mod tests {
     fn already_connected_is_identity() {
         let g = crate::fixtures::cycle(10);
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(ensure_connected(&g, &mut rng), g);
+        assert_eq!(ensure_connected(g.clone(), &mut rng), g);
+        assert_eq!(ensure_connected_chain(g.clone(), &mut rng), g);
     }
 
     #[test]
     fn chain_patches_to_connected() {
         let g = three_triangles();
         let mut rng = StdRng::seed_from_u64(1);
-        let fixed = ensure_connected_chain(&g, &mut rng);
+        let fixed = ensure_connected_chain(g.clone(), &mut rng);
         assert!(is_connected(&fixed));
         assert_eq!(fixed.num_edges(), g.num_edges() + 2);
     }
@@ -112,9 +113,8 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_edge(0, 1);
         b.grow_to(5);
-        let g = b.build();
         let mut rng = StdRng::seed_from_u64(2);
-        let fixed = ensure_connected(&g, &mut rng);
+        let fixed = ensure_connected(b.build(), &mut rng);
         assert!(is_connected(&fixed));
         assert!(fixed.min_degree() >= 1);
     }
@@ -188,9 +188,9 @@ mod tests {
             assert!(comps.count() > 1_000, "seed {seed}: {}", comps.count());
             assert!(comps.sizes.contains(&1), "seed {seed}: no isolated node");
             let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-            let hub = ensure_connected(&g, &mut a);
+            let hub = ensure_connected(g.clone(), &mut a);
             assert_eq!(hub, ensure_connected_by_scan(&g, &mut b), "seed {seed}");
-            let chain = ensure_connected_chain(&g, &mut a);
+            let chain = ensure_connected_chain(g.clone(), &mut a);
             assert_eq!(
                 chain,
                 ensure_connected_chain_by_scan(&g, &mut b),
@@ -206,7 +206,7 @@ mod tests {
     fn preserves_existing_edges() {
         let g = three_triangles();
         let mut rng = StdRng::seed_from_u64(3);
-        let fixed = ensure_connected(&g, &mut rng);
+        let fixed = ensure_connected(g.clone(), &mut rng);
         for (u, v) in g.edges() {
             assert!(fixed.has_edge(u, v));
         }

@@ -128,7 +128,7 @@ impl HierarchyParams {
             b.add_edge(u as NodeId, v as NodeId);
             added += 1;
         }
-        ensure_connected(&b.build(), rng)
+        ensure_connected(b.build(), rng)
     }
 }
 

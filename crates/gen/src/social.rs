@@ -98,8 +98,7 @@ impl SocialParams {
             added += 1;
         }
 
-        let g = b.build();
-        ensure_connected(&g, rng)
+        ensure_connected(b.build(), rng)
     }
 }
 
@@ -204,7 +203,7 @@ impl CoauthorshipParams {
             }
             memberships += members.len();
         }
-        ensure_connected(&b.build(), rng)
+        ensure_connected(b.build(), rng)
     }
 }
 

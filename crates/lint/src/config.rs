@@ -256,7 +256,6 @@ impl Config {
                 include: strings(&[
                     "crates/par/src/runtime.rs",
                     "crates/par/src/scheduler.rs",
-                    "crates/par/src/dag.rs",
                     "crates/obs/src/trace.rs",
                     "crates/obs/src/export.rs",
                     "crates/serve/src/server.rs",

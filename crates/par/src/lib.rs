@@ -23,13 +23,12 @@
 //!   than ever seen spawns the difference) and lives for the process.
 //!
 //! The offline dependency set does not include `rayon`, so this crate
-//! provides the small subset we need:
+//! provides the small subset we need, all on one handle, [`Pool`],
+//! which carries the thread count:
 //!
-//! - [`par_map_indexed`] — map a function over `0..n` into a `Vec`,
-//! - [`par_for_each_chunk`] — hand each chunk of an output slice's rows
-//!   to a body as its own `&mut` sub-slice, in parallel,
-//! - [`par_reduce_indexed`] — map over `0..n` and fold the results,
-//! - [`Pool`] — a reusable handle carrying the thread count.
+//! - [`Pool::map_indexed`] — map a function over `0..n` into a `Vec`,
+//! - [`Pool::for_each_chunk`] — hand each chunk of an output slice's
+//!   rows to a body as its own `&mut` sub-slice, in parallel.
 //!
 //! Scheduling is dynamic: workers pull fixed-size chunks of the index
 //! space from a shared atomic cursor, so skewed workloads (e.g. sources
@@ -39,15 +38,16 @@
 //! is **bit-for-bit identical** across runs.
 //!
 //! This is the workspace's only crate with `unsafe` code: the runtime's
-//! borrowed job body and the one place ([`par_for_each_chunk`]) that
-//! splits an output slice into per-chunk `&mut` sub-slices. Every other
-//! crate writes parallel output through those sub-slices and compiles
-//! under `#![forbid(unsafe_code)]`.
+//! borrowed job body and the one place (`par_for_each_chunk`, behind
+//! [`Pool::for_each_chunk`]) that splits an output slice into
+//! per-chunk `&mut` sub-slices. Every other crate writes parallel
+//! output through those sub-slices and compiles under
+//! `#![forbid(unsafe_code)]`.
 //!
 //! # Example
 //!
 //! ```
-//! let squares = socmix_par::par_map_indexed(8, |i| i * i);
+//! let squares = socmix_par::Pool::new().map_indexed(8, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
@@ -55,16 +55,13 @@
 // unsafe block (and SAFETY comment) instead of riding the signature.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod dag;
 mod pool;
 mod runtime;
 mod scheduler;
 
-pub use dag::{run_dag, DagError};
 pub use pool::Pool;
-pub use scheduler::{par_for_each_chunk, par_map_indexed, par_reduce_indexed, ChunkPlan};
 
-/// Returns the number of worker threads used by the free functions.
+/// Returns the number of worker threads a default [`Pool`] uses.
 ///
 /// Defaults to [`std::thread::available_parallelism`], clamped to at least
 /// 1, and can be overridden with the `SOCMIX_THREADS` environment

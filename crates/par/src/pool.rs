@@ -4,13 +4,11 @@ use crate::scheduler;
 use socmix_obs::{Histogram, Span};
 
 /// Wall time of whole pool operations (one record per `map_indexed` /
-/// `for_each_chunk` / `reduce_indexed` call). On a trace timeline
-/// these spans sit between a pipeline stage and the runtime's
-/// per-dispatch spans, naming which flavor of parallel op the stage
-/// spent its time in.
+/// `for_each_chunk` call). On a trace timeline these spans sit between
+/// a pipeline stage and the runtime's per-dispatch spans, naming which
+/// flavor of parallel op the stage spent its time in.
 static POOL_MAP_NS: Histogram = Histogram::new("pool.map_ns");
 static POOL_CHUNKS_NS: Histogram = Histogram::new("pool.for_each_chunk_ns");
-static POOL_REDUCE_NS: Histogram = Histogram::new("pool.reduce_ns");
 
 /// A reusable parallelism configuration.
 ///
@@ -60,13 +58,16 @@ impl Pool {
         F: Fn(usize) -> T + Sync,
     {
         let _span = Span::start(&POOL_MAP_NS);
-        scheduler::par_map_indexed_with(n, self.threads, f)
+        scheduler::map_indexed(n, self.threads, f)
     }
 
     /// Runs `body` over disjoint chunks of the rows of `out` (rows of
     /// `stride` elements) using this pool; each call gets its row
-    /// range and the `&mut` sub-slice holding exactly those rows (see
-    /// [`crate::par_for_each_chunk`]).
+    /// range and the `&mut` sub-slice holding exactly those rows, so a
+    /// chunk writes its output without a lock and without aliasing
+    /// another chunk's rows. Chunks are claimed dynamically, so uneven
+    /// chunk costs still balance; a serial pool (or few enough rows to
+    /// fit one chunk) runs `body` on the calling thread.
     ///
     /// # Panics
     ///
@@ -78,23 +79,6 @@ impl Pool {
     {
         let _span = Span::start(&POOL_CHUNKS_NS);
         scheduler::par_for_each_chunk(out, stride, self.threads, body);
-    }
-
-    /// Maps `f` over `0..n` and folds the results with `fold` using
-    /// this pool.
-    ///
-    /// `fold` must be associative with `identity` as its unit;
-    /// partials are folded in chunk-index order (lock-free per-chunk
-    /// slots), so the result is deterministic for a fixed thread
-    /// count.
-    pub fn reduce_indexed<T, F, R>(&self, n: usize, identity: T, f: F, fold: R) -> T
-    where
-        T: Send + Sync + Clone,
-        F: Fn(usize) -> T + Sync,
-        R: Fn(T, T) -> T + Sync + Send,
-    {
-        let _span = Span::start(&POOL_REDUCE_NS);
-        scheduler::par_reduce_indexed_with(n, self.threads, identity, f, fold)
     }
 }
 
@@ -123,14 +107,6 @@ mod tests {
         let a = Pool::with_threads(4).map_indexed(100, |i| i * 2);
         let b = Pool::serial().map_indexed(100, |i| i * 2);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn pool_reduce_matches_serial() {
-        let par = Pool::with_threads(8).reduce_indexed(4000, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(par, 4000 * 3999 / 2);
-        let ser = Pool::serial().reduce_indexed(4000, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(par, ser);
     }
 
     #[test]

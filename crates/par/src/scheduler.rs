@@ -1,16 +1,16 @@
 //! Dynamic chunked scheduling over an index space.
 //!
-//! All entry points cut `0..n` into the same [`ChunkPlan`] and hand
+//! Both entry points cut `0..n` into the same [`ChunkPlan`] and hand
 //! chunks out from an atomic cursor on the persistent runtime
 //! (`crate::runtime`): workers spawned once, parked between jobs.
 
 /// How an index space `0..n` is cut into work units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkPlan {
+pub(crate) struct ChunkPlan {
     /// Total number of indices.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Indices per work unit.
-    pub chunk: usize,
+    pub(crate) chunk: usize,
 }
 
 impl ChunkPlan {
@@ -18,14 +18,14 @@ impl ChunkPlan {
     ///
     /// Aims for ~4 chunks per worker so dynamic scheduling can balance
     /// skew, with a minimum chunk of 1.
-    pub fn new(n: usize, threads: usize) -> Self {
+    pub(crate) fn new(n: usize, threads: usize) -> Self {
         let target_units = threads.max(1) * 4;
         let chunk = n.div_ceil(target_units).max(1);
         ChunkPlan { n, chunk }
     }
 
     /// Number of work units in the plan.
-    pub fn units(&self) -> usize {
+    pub(crate) fn units(&self) -> usize {
         if self.n == 0 {
             0
         } else {
@@ -34,7 +34,7 @@ impl ChunkPlan {
     }
 
     /// The half-open index range of unit `u`.
-    pub fn range(&self, u: usize) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self, u: usize) -> std::ops::Range<usize> {
         let lo = u * self.chunk;
         let hi = (lo + self.chunk).min(self.n);
         lo..hi
@@ -57,7 +57,7 @@ impl ChunkPlan {
 /// # Panics
 ///
 /// Panics if `stride` is 0 or does not divide `out.len()`.
-pub fn par_for_each_chunk<T, F>(out: &mut [T], stride: usize, threads: usize, body: F)
+pub(crate) fn par_for_each_chunk<T, F>(out: &mut [T], stride: usize, threads: usize, body: F)
 where
     T: Send,
     F: Fn(std::ops::Range<usize>, &mut [T]) + Sync,
@@ -105,17 +105,9 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 // references never yield overlapping `&mut T`.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Maps `f` over `0..n` in parallel and collects results in index order.
-pub fn par_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send + Default + Clone,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_indexed_with(n, crate::num_threads(), f)
-}
-
-/// As [`par_map_indexed`] but with an explicit thread count.
-pub fn par_map_indexed_with<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+/// Maps `f` over `0..n` on `threads` threads and collects the results
+/// in index order.
+pub(crate) fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send + Default + Clone,
     F: Fn(usize) -> T + Sync,
@@ -127,54 +119,6 @@ where
         }
     });
     out
-}
-
-/// Maps `f` over `0..n` in parallel and folds the results with `fold`.
-///
-/// `fold` must be associative with `identity` as its unit. Each chunk
-/// folds its indices in ascending order into a per-chunk partial slot
-/// (no locks), and the partials are folded in chunk-index order — so
-/// for a fixed thread count the result is deterministic, including for
-/// non-commutative or floating-point folds. Across *different* thread
-/// counts the chunk geometry (and hence the association order) can
-/// differ.
-pub fn par_reduce_indexed<T, F, R>(n: usize, identity: T, f: F, fold: R) -> T
-where
-    T: Send + Sync + Clone,
-    F: Fn(usize) -> T + Sync,
-    R: Fn(T, T) -> T + Sync + Send,
-{
-    par_reduce_indexed_with(n, crate::num_threads(), identity, f, fold)
-}
-
-/// As [`par_reduce_indexed`] but with an explicit thread count.
-///
-/// Partials live in one slot per chunk of the index plan, and the
-/// slots are themselves the rows of a [`par_for_each_chunk`] output:
-/// a plan has at most four chunks per thread, so the slot plan gives
-/// each claim exactly one slot and workers never contend on a lock.
-pub(crate) fn par_reduce_indexed_with<T, F, R>(
-    n: usize,
-    threads: usize,
-    identity: T,
-    f: F,
-    fold: R,
-) -> T
-where
-    T: Send + Sync + Clone,
-    F: Fn(usize) -> T + Sync,
-    R: Fn(T, T) -> T + Sync + Send,
-{
-    let plan = ChunkPlan::new(n, threads);
-    let mut slots = vec![identity.clone(); plan.units()];
-    par_for_each_chunk(&mut slots, 1, threads, |units, parts| {
-        for (slot, u) in parts.iter_mut().zip(units) {
-            *slot = plan
-                .range(u)
-                .fold(identity.clone(), |acc, i| fold(acc, f(i)));
-        }
-    });
-    slots.into_iter().fold(identity, fold)
 }
 
 #[cfg(test)]
@@ -206,44 +150,21 @@ mod tests {
 
     #[test]
     fn map_matches_serial() {
-        let par = par_map_indexed(1000, |i| (i as u64) * 3 + 1);
+        let par = map_indexed(1000, 4, |i| (i as u64) * 3 + 1);
         let ser: Vec<u64> = (0..1000).map(|i| (i as u64) * 3 + 1).collect();
         assert_eq!(par, ser);
     }
 
     #[test]
     fn map_zero_len() {
-        let v: Vec<u32> = par_map_indexed(0, |_| 7);
+        let v: Vec<u32> = map_indexed(0, 4, |_| 7);
         assert!(v.is_empty());
     }
 
     #[test]
     fn map_single_thread_path() {
-        let v = par_map_indexed_with(17, 1, |i| i + 1);
+        let v = map_indexed(17, 1, |i| i + 1);
         assert_eq!(v, (1..=17).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn reduce_sums() {
-        let s = par_reduce_indexed(10_000, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(s, 10_000 * 9_999 / 2);
-    }
-
-    #[test]
-    fn reduce_max() {
-        let m = par_reduce_indexed(257, usize::MIN, |i| (i * 31) % 257, |a, b| a.max(b));
-        assert_eq!(m, 256);
-    }
-
-    #[test]
-    fn reduce_is_repeatable_for_floats() {
-        // per-chunk slots folded in chunk order: the float association
-        // is fixed for a given thread count, so reruns agree exactly
-        let run =
-            || par_reduce_indexed_with(5_000, 4, 0.0f64, |i| 1.0 / (i + 1) as f64, |a, b| a + b);
-        let a = run();
-        let b = run();
-        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]
